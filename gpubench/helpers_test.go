@@ -2,12 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"gpulat/internal/runner"
+	"gpulat/internal/service"
 )
 
 func TestTailNeedsTenSamplesBeyond(t *testing.T) {
@@ -204,5 +208,67 @@ func TestSvcTailIsMedianOfThirds(t *testing.T) {
 	got := sw.tail()
 	if got.Label != "p90" || got.N != 300 || got.Value > 10 {
 		t.Fatalf("tail = %+v, want the p90 of a fast third", got)
+	}
+}
+
+// cannedTransport answers every request in memory with one status
+// body, without a network.
+type cannedTransport string
+
+func (c cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+		Body: io.NopCloser(strings.NewReader(string(c))), Request: req}, nil
+}
+
+func TestSpanTransportTimesClientCalls(t *testing.T) {
+	tr := newTracer()
+	st := newSvcTrace(tr)
+	root := tr.begin("req-1", 0, "request")
+	st.roots["req-1"] = root
+	rt := spanTransport{next: cannedTransport(`{"key":"k1","status":"running"}`), st: st}
+
+	do := func(method, path, traceID string) {
+		t.Helper()
+		req, err := http.NewRequest(method, "http://tier"+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traceID != "" {
+			req.Header.Set(service.TraceHeader, traceID)
+		}
+		resp, err := rt.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body, _ := io.ReadAll(resp.Body); !strings.Contains(string(body), "running") {
+			t.Fatalf("%s %s: body %q not passed through", method, path, body)
+		}
+		resp.Body.Close()
+	}
+	do(http.MethodPost, "/v1/jobs", "req-1")
+	do(http.MethodGet, "/v1/jobs/k1", "req-1")
+	do(http.MethodGet, "/v1/results/k1", "req-1")
+	do(http.MethodGet, "/metrics", "req-1")       // not a client call: no span
+	do(http.MethodGet, "/v1/jobs/k1", "untraced") // no root: no span
+	tr.end(root)
+
+	var names []string
+	for _, s := range tr.Spans() {
+		if s.ID == root {
+			continue
+		}
+		if s.Parent != root || s.Req != "req-1" {
+			t.Errorf("span %s: parent %d request %q, want %d and req-1", s.Name, s.Parent, s.Req, root)
+		}
+		names = append(names, s.Name)
+	}
+	if want := []string{"client.submit", "client.status", "client.result"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("spans = %v, want %v", names, want)
+	}
+	if st.polls != 1 || st.notDone != 1 {
+		t.Errorf("polls = %d, not done = %d, want 1 and 1", st.polls, st.notDone)
+	}
+	if _, ok := st.seen["k1"]; !ok {
+		t.Error("result fetch did not mark k1 seen")
 	}
 }

@@ -26,8 +26,6 @@ const (
 	cReqWakes
 	cReplyWakes
 	cIssueSlots
-	cStallSB
-	cStallLDST
 	cStallEmpty
 	cL1Hits
 	cL1Misses
@@ -46,7 +44,7 @@ const (
 var counterNames = [nCounters]string{
 	"devices", "cycles", "skipped_cycles", "inst_issued",
 	"wake_arms", "wakes", "reqnet_wakes", "replynet_wakes",
-	"issue_slots", "stall_sb", "stall_ldst", "stall_empty",
+	"issue_slots", "stall_empty",
 	"l1_hits", "l1_misses", "l1_mshr_merges", "l1_reservation_fails",
 	"l2_hits", "l2_misses", "l2_stalls",
 	"dram_scheduled", "dram_row_hits", "dram_queue_wait",
@@ -82,8 +80,6 @@ func (c *counters) addDevice(g *gpu.GPU) {
 		ss := s.Stats()
 		c[cInsts] += ss.InstIssued
 		c[cIssueSlots] += ss.Cycles * uint64(g.Config().SM.IssueWidth)
-		c[cStallSB] += ss.IssueStallSB
-		c[cStallLDST] += ss.IssueStallLDST
 		c[cStallEmpty] += ss.IssueStallEmpty
 		if l1 := s.L1(); l1 != nil {
 			cs := l1.Stats()

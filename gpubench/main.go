@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,6 +30,7 @@ const (
 	setupReps      = 5 // batch set-ups before and again after the window
 	svcSetupReps   = 2 // svc-mixed set-ups before and after (each simulates the population)
 	runDeadline    = 170 * time.Second
+	digestPath     = "gpubench/digest.json" // relative to the repository root
 )
 
 var workloads = []string{"fig-dynamic", "table1-chase", "svc-mixed"}
@@ -69,7 +71,7 @@ func run() int {
 	var o options
 	var seed uint64
 	var seconds, trace int
-	var commit, digestPath string
+	var commit string
 	var writeDigest bool
 	flag.StringVar(&o.workload, "workload", "", "workload to run: "+strings.Join(workloads, ", "))
 	flag.Uint64Var(&seed, "seed", defaultSeed, "seed the workload's inputs are drawn from")
@@ -77,7 +79,6 @@ func run() int {
 	flag.IntVar(&trace, "trace", 0, "1 runs the traced run and reports per-layer metrics")
 	flag.StringVar(&o.artifacts, "artifacts", ".bench_build", "directory for caches and span files")
 	flag.StringVar(&commit, "commit", "", "commit the binary was built from, recorded with the host")
-	flag.StringVar(&digestPath, "digest", filepath.Join("gpubench", "digest.json"), "committed digest of default-seed results")
 	flag.BoolVar(&writeDigest, "write-digest", false, "record this run's results in the digest instead of checking them")
 	flag.Parse()
 	o.seed, o.seconds, o.trace = seed, time.Duration(seconds)*time.Second, trace == 1
@@ -114,12 +115,12 @@ func run() int {
 	key := digestKey(o)
 	if o.seed == defaultSeed {
 		if writeDigest {
-			if err := saveDigest(digestPath, key, res.digest); err != nil {
+			if err := saveDigest(key, res.digest); err != nil {
 				fmt.Fprintln(os.Stderr, "gpubench:", err)
 				return 1
 			}
 		} else {
-			checkDigest(chk, digestPath, key, res.digest, o.seconds == defaultSeconds*time.Second)
+			checkDigest(chk, key, res.digest, o.seconds == defaultSeconds*time.Second)
 		}
 	}
 	if res.tracer != nil {
@@ -298,8 +299,8 @@ func runSvc(ctx context.Context, o options, chk *checks) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.t = t2
-	second, err := runWindow(ctx, t2, scheds[1], st.send)
+	t2.client.HTTP = &http.Client{Transport: spanTransport{next: t2.transport, st: st}}
+	second, err := runWindow(ctx, t2, scheds[1], st.send(t2))
 	t2.close()
 	if err != nil {
 		return nil, err
@@ -393,19 +394,20 @@ func svcDigest(sw *svcWindow) map[string]float64 {
 	return d
 }
 
-// digestKey names a run's digest entry. svc-mixed's schedule length
-// follows --seconds, so its entries are per window length.
+// digestKey names a run's digest entry. A batch workload's record is
+// its reference round, the same in either trace mode. svc-mixed records
+// its first window, whose schedule follows the window's length: the
+// whole run, or half of it in the traced run.
 func digestKey(o options) string {
-	k := fmt.Sprintf("%s/trace%d", o.workload, map[bool]int{false: 0, true: 1}[o.trace])
-	if o.workload == "svc-mixed" {
-		k += fmt.Sprintf("/s%d", int(o.seconds.Seconds()))
+	if o.workload != "svc-mixed" {
+		return o.workload
 	}
-	return k
+	return fmt.Sprintf("%s/trace%d/s%d", o.workload, map[bool]int{false: 0, true: 1}[o.trace], int(o.seconds.Seconds()))
 }
 
-func loadDigest(path string) (map[string]map[string]float64, error) {
+func loadDigest() (map[string]map[string]float64, error) {
 	all := map[string]map[string]float64{}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(digestPath)
 	if os.IsNotExist(err) {
 		return all, nil
 	}
@@ -415,8 +417,8 @@ func loadDigest(path string) (map[string]map[string]float64, error) {
 	return all, json.Unmarshal(data, &all)
 }
 
-func saveDigest(path, key string, d map[string]float64) error {
-	all, err := loadDigest(path)
+func saveDigest(key string, d map[string]float64) error {
+	all, err := loadDigest()
 	if err != nil {
 		return err
 	}
@@ -425,22 +427,22 @@ func saveDigest(path, key string, d map[string]float64) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(digestPath, append(data, '\n'), 0o644)
 }
 
 // checkDigest compares a default-seed run with its committed record and
 // names the first value that differs. A missing record fails only a
 // run at the default length, the one the record is made for.
-func checkDigest(chk *checks, path, key string, got map[string]float64, required bool) {
-	all, err := loadDigest(path)
+func checkDigest(chk *checks, key string, got map[string]float64, required bool) {
+	all, err := loadDigest()
 	if err != nil {
-		chk.fail("digest %s: %v", path, err)
+		chk.fail("digest %s: %v", digestPath, err)
 		return
 	}
 	want, ok := all[key]
 	if !ok {
 		if required {
-			chk.fail("digest %s has no entry %s", path, key)
+			chk.fail("digest %s has no entry %s", digestPath, key)
 		}
 		return
 	}

@@ -1,8 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -37,11 +38,6 @@ const (
 	svcHitSample    = 0.1  // share of hits re-run directly to check them
 	svcSLO          = 100 * time.Millisecond
 )
-
-// svcPoll is the client's first status-poll interval; it backs off to
-// eight times that, so a result is seen within 2 ms of being ready and
-// latency reflects the tier rather than the poll schedule's steps.
-const svcPoll = 250 * time.Microsecond
 
 // svcPoints draws n distinct chase points on GF100 that are not in
 // seen: DRAM-bound rings (far beyond the L2, so no warm lap) at the
@@ -164,7 +160,6 @@ func startTier(dir string, hooks tierHooks, prev *tier) (*tier, error) {
 	t.transport = &http.Transport{MaxConnsPerHost: 2, MaxIdleConnsPerHost: 2}
 	t.client = service.NewClient(t.front)
 	t.client.HTTP = &http.Client{Transport: t.transport}
-	t.client.Poll = svcPoll
 	return t, nil
 }
 
@@ -488,13 +483,14 @@ func (sw *svcWindow) counterDetail(detail map[string]any) {
 }
 
 // svcTrace is the traced window's client side and program-side
-// instruments. Spans of one request share its request ID; the
-// executor's and station's spans find it through the job key.
+// instruments. Spans of one request share its request ID, the trace ID
+// the client sends; the executor's and station's spans find it through
+// the job key.
 type svcTrace struct {
 	tr *Tracer
-	t  *tier
 
 	mu       sync.Mutex
+	roots    map[string]int // request ID -> its root span
 	byKey    map[runner.JobKey]traceRef
 	admitted map[runner.JobKey]time.Time
 	execs    map[runner.JobKey][2]time.Time
@@ -509,7 +505,7 @@ type traceRef struct {
 }
 
 func newSvcTrace(tr *Tracer) *svcTrace {
-	return &svcTrace{tr: tr, byKey: map[runner.JobKey]traceRef{},
+	return &svcTrace{tr: tr, roots: map[string]int{}, byKey: map[runner.JobKey]traceRef{},
 		admitted: map[runner.JobKey]time.Time{}, execs: map[runner.JobKey][2]time.Time{},
 		seen: map[runner.JobKey]time.Time{}}
 }
@@ -568,80 +564,104 @@ func (st *svcTrace) admit(key runner.JobKey) {
 	st.mu.Unlock()
 }
 
-// span times one client call under the request's root span.
-func (st *svcTrace) span(ref traceRef, name string, f func() error) error {
-	id := st.tr.begin(ref.req, ref.root, name)
-	err := f()
-	st.tr.end(id)
-	return err
-}
-
-// send is the traced request: Client.RunJobs for one job, unrolled
-// into its Submit, Status and Result calls so each is a span. The poll
-// schedule is RunJobs' own: Poll, doubling up to eight times Poll.
-func (st *svcTrace) send(ctx context.Context, i int, job runner.Job) (runner.Result, error) {
-	c := st.t.client
-	ref := traceRef{req: fmt.Sprintf("req-%d", i)}
-	ref.root = st.tr.begin(ref.req, 0, "request")
-	defer st.tr.end(ref.root)
-	key := job.Key()
-	st.mu.Lock()
-	if _, ok := st.byKey[key]; !ok {
-		st.byKey[key] = ref
-	}
-	st.mu.Unlock()
-
-	var tickets []service.JobTicket
-	err := st.span(ref, "client.submit", func() (err error) {
-		tickets, err = c.Submit(ctx, []runner.Job{job})
-		return err
-	})
-	if err != nil {
-		return runner.Result{}, err
-	}
-	status := tickets[0].Status
-	wait := svcPoll
-	for {
-		for status != service.StatusDone && status != service.StatusFailed {
-			_ = st.span(ref, "client.poll_wait", func() error { time.Sleep(wait); return nil })
-			var js service.JobStatus
-			if err := st.span(ref, "client.status", func() (err error) {
-				js, err = c.Status(ctx, key)
-				return err
-			}); err != nil {
-				return runner.Result{}, err
-			}
-			status = js.Status
-			st.mu.Lock()
-			st.polls++
-			if status != service.StatusDone && status != service.StatusFailed {
-				st.notDone++
-			}
-			st.mu.Unlock()
-			if wait < 8*svcPoll {
-				wait *= 2
-			}
-		}
+// send returns the traced request: the same Client.RunJobs call as the
+// untraced window, under a root span. The client's HTTP calls are timed
+// by the transport, which finds the root through the trace ID.
+func (st *svcTrace) send(t *tier) driveFunc {
+	return func(ctx context.Context, i int, job runner.Job) (runner.Result, error) {
+		ref := traceRef{req: service.TraceID(ctx)}
+		ref.root = st.tr.begin(ref.req, 0, "request")
+		defer st.tr.end(ref.root)
 		st.mu.Lock()
-		if _, ok := st.seen[key]; !ok {
-			st.seen[key] = time.Now()
+		st.roots[ref.req] = ref.root
+		if _, ok := st.byKey[job.Key()]; !ok {
+			st.byKey[job.Key()] = ref
 		}
 		st.mu.Unlock()
-		var wr service.WireResult
-		err := st.span(ref, "client.result", func() (err error) {
-			wr, err = c.Result(ctx, key)
-			return err
-		})
-		var ae *service.APIError
-		if errors.As(err, &ae) && ae.Code == http.StatusConflict {
-			status = service.StatusQueued
-			continue
-		}
-		if err != nil {
-			return runner.Result{}, err
-		}
-		return runner.Result{Job: job, Metrics: wr.Metrics, Err: wr.Error}, nil
+		return t.runJobs(ctx, i, job)
 	}
+}
+
+// clientRoute names the span of one client request, and the job key in
+// its path: POST /v1/jobs is client.submit, GET /v1/jobs/{key}
+// client.status, and GET /v1/results/{key} client.result. Other
+// requests get no span.
+func clientRoute(req *http.Request) (string, runner.JobKey) {
+	path := req.URL.Path
+	switch {
+	case req.Method == http.MethodPost && path == "/v1/jobs":
+		return "client.submit", ""
+	case req.Method != http.MethodGet:
+		return "", ""
+	case strings.HasPrefix(path, "/v1/jobs/"):
+		return "client.status", runner.JobKey(strings.TrimPrefix(path, "/v1/jobs/"))
+	case strings.HasPrefix(path, "/v1/results/"):
+		return "client.result", runner.JobKey(strings.TrimPrefix(path, "/v1/results/"))
+	}
+	return "", ""
+}
+
+// spanTransport opens a span around each request a traced client call
+// makes, from sending it until the caller closes the response body.
+type spanTransport struct {
+	next http.RoundTripper
+	st   *svcTrace
+}
+
+func (t spanTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	st := t.st
+	name, key := clientRoute(req)
+	reqID := req.Header.Get(service.TraceHeader)
+	st.mu.Lock()
+	root, ok := st.roots[reqID]
+	if ok && name == "client.result" {
+		if _, done := st.seen[key]; !done {
+			st.seen[key] = time.Now() // RunJobs fetches a result once it sees "done"
+		}
+	}
+	st.mu.Unlock()
+	if !ok || name == "" {
+		return t.next.RoundTrip(req)
+	}
+	id := st.tr.begin(reqID, root, name)
+	resp, err := t.next.RoundTrip(req)
+	if err != nil {
+		st.tr.end(id)
+		return nil, err
+	}
+	body := resp.Body
+	if name == "client.status" {
+		data, rerr := io.ReadAll(body)
+		body.Close()
+		if rerr != nil {
+			st.tr.end(id)
+			return nil, rerr
+		}
+		var js service.JobStatus
+		_ = json.Unmarshal(data, &js) // an error body leaves Status empty: a not-done poll
+		st.mu.Lock()
+		st.polls++
+		if js.Status != service.StatusDone && js.Status != service.StatusFailed {
+			st.notDone++
+		}
+		st.mu.Unlock()
+		body = io.NopCloser(bytes.NewReader(data))
+	}
+	resp.Body = &spanBody{ReadCloser: body, end: func() { st.tr.end(id) }}
+	return resp, nil
+}
+
+// spanBody ends its request's span when the caller closes it.
+type spanBody struct {
+	io.ReadCloser
+	once sync.Once
+	end  func()
+}
+
+func (b *spanBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.once.Do(b.end)
+	return err
 }
 
 // detail reports the traced window's service-layer metrics.
