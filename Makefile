@@ -4,7 +4,7 @@
 GO      ?= go
 JOBS    ?= 0   # 0 = GOMAXPROCS
 
-.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism par-determinism service-determinism shard-determinism load-smoke bench-service clean
+.PHONY: all build test vet fmt bench bench-baseline bench-regress alloc-regress alloc-baseline repro repro-quick determinism engine-determinism corun-determinism service-determinism shard-determinism load-smoke bench-service clean
 
 all: build vet fmt test
 
@@ -39,7 +39,7 @@ bench:
 # cmdBenchKernel); the simulated counters must be identical across reps
 # or the run fails.
 bench-baseline:
-	$(GO) run ./cmd/gpulat bench-kernel -par 1,8 > BENCH_kernel.json.tmp
+	$(GO) run ./cmd/gpulat bench-kernel > BENCH_kernel.json.tmp
 	mv BENCH_kernel.json.tmp BENCH_kernel.json
 
 # Event-engine regression smoke (CI): reduced-scale workloads, single
@@ -107,31 +107,6 @@ corun-determinism:
 	cmp /tmp/gpulat-corun-e1.csv /tmp/gpulat-corun-e8.csv
 	cmp /tmp/gpulat-corun-t1.csv /tmp/gpulat-corun-e1.csv
 	@echo "corun-determinism: -j 1/-j 8 and tick/event byte-identical"
-
-# Proves the phase-parallel stepping contract: the parallel-engine unit
-# tests pass under the race detector, and -par 1 vs -par 8 exports are
-# byte-identical on the quick bench grid AND a co-run grid, under both
-# engines. (-par shards the phases of each simulated cycle across
-# goroutines; -j above shards jobs — independent axes, both pinned.)
-par-determinism:
-	$(GO) test -race -count=1 -run 'TestPool|TestWorkerCountInvariance|TestAtomicOldValuesUniqueAcrossSMs' ./internal/sim ./internal/gpu
-	$(GO) build -o /tmp/gpulat-ci ./cmd/gpulat
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 1 -engine=tick  -csv  > /tmp/gpulat-par1-tick.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 8 -engine=tick  -csv  > /tmp/gpulat-par8-tick.csv
-	cmp /tmp/gpulat-par1-tick.csv /tmp/gpulat-par8-tick.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 1 -engine=event -csv  > /tmp/gpulat-par1-event.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 8 -engine=event -csv  > /tmp/gpulat-par8-event.csv
-	cmp /tmp/gpulat-par1-event.csv /tmp/gpulat-par8-event.csv
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 1 -engine=event -json > /tmp/gpulat-par1-event.json
-	/tmp/gpulat-ci bench-suite -quick -quiet -j 1 -par 8 -engine=event -json > /tmp/gpulat-par8-event.json
-	cmp /tmp/gpulat-par1-event.json /tmp/gpulat-par8-event.json
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 1 -engine=tick  -csv > /tmp/gpulat-corun-par1-t.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 8 -engine=tick  -csv > /tmp/gpulat-corun-par8-t.csv
-	cmp /tmp/gpulat-corun-par1-t.csv /tmp/gpulat-corun-par8-t.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 1 -engine=event -csv > /tmp/gpulat-corun-par1-e.csv
-	/tmp/gpulat-ci corun -quick -quiet -j 1 -par 8 -engine=event -csv > /tmp/gpulat-corun-par8-e.csv
-	cmp /tmp/gpulat-corun-par1-e.csv /tmp/gpulat-corun-par8-e.csv
-	@echo "par-determinism: -par 1 and -par 8 byte-identical (bench grid + corun, both engines)"
 
 # Proves the service layer's contract end to end: the quick bench grid
 # routed through `gpulat serve`/`gpulat submit` exports byte-identical
@@ -359,11 +334,6 @@ clean:
 		/tmp/gpulat-tick.json /tmp/gpulat-event.json \
 		/tmp/gpulat-corun-t1.csv /tmp/gpulat-corun-t8.csv \
 		/tmp/gpulat-corun-e1.csv /tmp/gpulat-corun-e8.csv \
-		/tmp/gpulat-par1-tick.csv /tmp/gpulat-par8-tick.csv \
-		/tmp/gpulat-par1-event.csv /tmp/gpulat-par8-event.csv \
-		/tmp/gpulat-par1-event.json /tmp/gpulat-par8-event.json \
-		/tmp/gpulat-corun-par1-t.csv /tmp/gpulat-corun-par8-t.csv \
-		/tmp/gpulat-corun-par1-e.csv /tmp/gpulat-corun-par8-e.csv \
 		/tmp/gpulat-direct.csv /tmp/gpulat-direct.json \
 		/tmp/gpulat-svc-cold.csv /tmp/gpulat-svc-warm.csv \
 		/tmp/gpulat-svc-warm.json /tmp/gpulat-svc-statsz.json \

@@ -36,7 +36,6 @@ func TestCoRunUsageErrorsExitTwo(t *testing.T) {
 		"bad placement":  {"-placements", "diagonal"},
 		"bad arch":       {"-archs", "RTX9090"},
 		"bad engine":     {"-engine", "warp9"},
-		"bad par":        {"-par", "0"},
 		"json and csv":   {"-json", "-csv"},
 	} {
 		err := cmdCoRun(args)
@@ -55,7 +54,6 @@ func TestCoRunUsageErrorsExitTwo(t *testing.T) {
 func TestBenchSuiteUsageErrorsExitTwo(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad engine":   {"-engine", "tachyon"},
-		"bad par":      {"-par", "-3"},
 		"json and csv": {"-json", "-csv"},
 		"bad flag":     {"-definitely-not-a-flag"},
 	} {
@@ -91,15 +89,12 @@ func TestSubmitUsageErrorsExitTwo(t *testing.T) {
 
 // TestServeCoordinatorRejectsStationFlags covers serve's coordinator
 // mode refusing station-only flags (exit 2, before any network I/O):
-// caches, workers, engines, and the per-simulation -par width all
-// belong to the backends.
+// caches, workers, and engines all belong to the backends.
 func TestServeCoordinatorRejectsStationFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"par":       {"-backends", "127.0.0.1:1", "-par", "8"},
 		"engine":    {"-backends", "127.0.0.1:1", "-engine", "tick"},
 		"jobs":      {"-backends", "127.0.0.1:1", "-j", "4"},
 		"cache dir": {"-backends", "127.0.0.1:1", "-cache-dir", "/tmp/x"},
-		"bad par":   {"-par", "0"},
 	} {
 		err := cmdServe(args)
 		if err == nil {
@@ -109,6 +104,16 @@ func TestServeCoordinatorRejectsStationFlags(t *testing.T) {
 		if got := exitCode(err); got != 2 {
 			t.Errorf("%s: exit %d, want 2 (%v)", name, got, err)
 		}
+	}
+}
+
+// TestParFlagIsUnknown pins the removal of intra-simulation stepping
+// width: -par is an unknown flag, so a script still passing it fails
+// loudly with exit 2 instead of being silently accepted.
+func TestParFlagIsUnknown(t *testing.T) {
+	err := cmdSimRun([]string{"-par", "2"})
+	if got := exitCode(err); got != 2 {
+		t.Fatalf("simrun -par 2: exit %d, want 2 (%v)", got, err)
 	}
 }
 

@@ -63,15 +63,6 @@ type Config struct {
 	// co-resident streams: shared breadth-first (default) or spatial
 	// SM partitioning. Single-stream runs behave identically under both.
 	Placement sched.Placement
-	// Workers is the phase-parallel stepping width: the number of
-	// goroutines (caller included) sharding the independent components
-	// of each tick phase — SMs across the core phase, partitions across
-	// the memory phase. 0 or 1 steps serially. Results are identical at
-	// any width (the parallel-stepping contract in internal/sim/doc.go),
-	// so Workers is, like Engine, execution machinery rather than an
-	// experiment parameter: it is excluded from serialized configs and
-	// must never influence a job's identity.
-	Workers int `json:"-"`
 }
 
 // Every timed building block of the device honors the event-driven
@@ -119,27 +110,8 @@ type GPU struct {
 
 	// reqSeq holds each SM's private request-ID sequence (IDs are only
 	// SM-local bookkeeping keys, tagged with the SM index for global
-	// uniqueness); giving every SM its own counter removes the last
-	// shared-state write from the parallel core phase.
+	// uniqueness).
 	reqSeq []uint64
-
-	// pool shards the parallel tick phases; nil (Workers <= 1, or
-	// stepping outside Run) steps serially through the same code path.
-	// smTicked marks which SMs ticked this cycle, for the end-of-phase
-	// flush pass.
-	pool     *sim.Pool
-	smTicked []bool
-
-	// stepC publishes the cycle being stepped to the four persistent
-	// phase closures below. Hoisting them out of Step/stepDue keeps the
-	// per-cycle path allocation-free: a closure literal capturing the
-	// loop cycle would escape to the pool workers and heap-allocate on
-	// every call.
-	stepC      sim.Cycle
-	partTickFn func(int)
-	smTickFn   func(int)
-	partDueFn  func(int)
-	smDueFn    func(int)
 
 	observer mem.Observer
 	issueObs IssueObserver
@@ -208,7 +180,6 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	g.replyNet = icnt.New(repCfg)
 
 	g.reqSeq = make([]uint64, cfg.NumSMs)
-	g.smTicked = make([]bool, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
 		smCfg := cfg.SM
 		smCfg.ID = i
@@ -230,8 +201,7 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	// and partition boundaries, so the pool must too. Its mutex is off
 	// the critical path (a handful of Get/Put per simulated cycle), and
 	// reuse order can only change pointer identity — every component
-	// keys requests by Request.ID, so simulated results are unaffected
-	// at any -par width.
+	// keys requests by Request.ID, so simulated results are unaffected.
 	reqPool := &mem.RequestPool{}
 	for _, s := range g.sms {
 		s.SetBlockRetireObserver(g.noteBlockRetired)
@@ -240,57 +210,7 @@ func NewWithObservers(cfg Config, obs mem.Observer, issueObs IssueObserver) *GPU
 	for _, p := range g.parts {
 		p.SetRequestPool(reqPool)
 	}
-	g.bindPhaseFns()
 	return g
-}
-
-// bindPhaseFns builds the persistent closures the parallel phases pass
-// to pool.Run. They read the cycle from g.stepC, set by Step/stepDue
-// immediately before each Run call.
-func (g *GPU) bindPhaseFns() {
-	ev := &g.ev
-	g.partTickFn = func(pi int) { g.parts[pi].Tick(g.stepC) }
-	g.smTickFn = func(si int) {
-		c := g.stepC
-		s := g.sms[si]
-		if !s.Busy() {
-			g.smTicked[si] = false
-			return
-		}
-		s.Tick(c)
-		g.smTicked[si] = true
-	}
-	g.partDueFn = func(pi int) {
-		c := g.stepC
-		if ev.partTickAt[pi] > c {
-			return
-		}
-		ev.fired[ev.partID[pi]]++
-		g.catchUpPart(pi, c-1)
-		g.parts[pi].Tick(c)
-		ev.partLastProc[pi] = c
-		ev.dirtyPart[pi] = true
-	}
-	g.smDueFn = func(si int) {
-		c := g.stepC
-		g.smTicked[si] = false
-		if ev.tickAt[si] > c {
-			return
-		}
-		s := g.sms[si]
-		if !s.Busy() {
-			// Drained while armed (e.g. the initial arm-everything wake
-			// on an idle core): disarm via re-arm, which yields Never.
-			ev.dirtySM[si] = true
-			return
-		}
-		ev.fired[ev.smID[si]]++
-		g.catchUpSM(si, c-1)
-		s.Tick(c)
-		ev.lastProc[si] = c
-		ev.dirtySM[si] = true
-		g.smTicked[si] = true
-	}
 }
 
 // noteBlockRetired forwards a block retirement to the dispatcher and
@@ -367,12 +287,10 @@ func (g *GPU) Enqueue(stream string, k *sm.Kernel) (*sched.KernelState, error) {
 func (g *GPU) Step() {
 	c := g.cycle
 
-	// Memory partitions (includes DRAM). Each partition's Tick touches
-	// only its own state, so the phase shards across the worker pool;
-	// Run's barrier orders every partition's writes before the transfer
-	// phase below reads its return queue.
-	g.stepC = c
-	g.pool.Run(len(g.parts), g.partTickFn)
+	// Memory partitions (includes DRAM).
+	for _, p := range g.parts {
+		p.Tick(c)
+	}
 
 	// Reply network: partition return queues → network → SMs.
 	for pi, p := range g.parts {
@@ -440,24 +358,30 @@ func (g *GPU) Step() {
 	// Cores last: issue sees this cycle's returned data next cycle.
 	// Idle SMs (no resident blocks, nothing in flight) are skipped; they
 	// cannot issue and hold no outstanding loads, so neither the timing
-	// nor the exposure accounting is affected. SMs are mutually
-	// independent within the phase — every cross-SM effect (functional
-	// stores/atomics, tracked completions, block retirements) defers
-	// inside the SM — so the phase shards across the pool, and the
-	// flush pass below commits the deferred effects in SM index order,
-	// making results independent of the worker count.
-	g.pool.Run(len(g.sms), g.smTickFn)
-	for si, s := range g.sms {
-		if !g.smTicked[si] {
+	// nor the exposure accounting is affected.
+	for _, s := range g.sms {
+		if !s.Busy() {
 			continue
 		}
-		s.FlushCycle()
+		s.Tick(c)
 		g.issueObs.IssueSlot(s.Config().ID, c, s.IssuedThisCycle())
 	}
+	g.flushSMs()
 
 	g.disp.Dispatch(c)
 	g.cycle++
 	g.stats.Cycles++
+}
+
+// flushSMs commits every SM's logged global stores and atomics in SM
+// index order, after all cores have ticked: a store issued this cycle
+// becomes visible to other SMs on the next cycle, whatever the index of
+// the SM that issued it (see internal/sim/doc.go, "Same-cycle memory
+// visibility"). An SM that did not tick has nothing logged.
+func (g *GPU) flushSMs() {
+	for _, s := range g.sms {
+		s.FlushCycle()
+	}
 }
 
 // Done reports whether every enqueued kernel has retired and the device
@@ -656,12 +580,17 @@ func (g *GPU) stepDue(c sim.Cycle) {
 	// the Tick is gated on the partition's own-work horizon, not on its
 	// armed wake: a partition whose only live state is a backed-up return
 	// queue keeps the clock stepping (for the reply-transfer phase) while
-	// its pipeline — which never drains that queue — sleeps. The phase
-	// shards across the pool: the gate, the replay, and every write
-	// (fired/partLastProc/dirtyPart slots, the partition itself) are
-	// per-index state.
-	g.stepC = c
-	g.pool.Run(len(g.parts), g.partDueFn)
+	// its pipeline — which never drains that queue — sleeps.
+	for pi, p := range g.parts {
+		if ev.partTickAt[pi] > c {
+			continue
+		}
+		ev.fired[ev.partID[pi]]++
+		g.catchUpPart(pi, c-1)
+		p.Tick(c)
+		ev.partLastProc[pi] = c
+		ev.dirtyPart[pi] = true
+	}
 
 	// Reply network: partition return queues → network → SMs. A visible
 	// return head pins its partition's horizon at now, so every cycle on
@@ -790,17 +719,23 @@ func (g *GPU) stepDue(c sim.Cycle) {
 	// or drains. (tickAt can be later than the SM's armed wake: a queued
 	// miss keeps the clock stepping for the injection phase above without
 	// forcing core ticks.)
-	// As in Step, the SM ticks shard across the pool — the due gate and
-	// all wake bookkeeping are per-index — and the flush pass after the
-	// barrier commits each SM's deferred effects in index order.
-	g.pool.Run(len(g.sms), g.smDueFn)
 	for si, s := range g.sms {
-		if !g.smTicked[si] {
+		if ev.tickAt[si] > c {
 			continue
 		}
-		s.FlushCycle()
+		ev.dirtySM[si] = true
+		if !s.Busy() {
+			// Drained while armed (e.g. the initial arm-everything wake
+			// on an idle core): disarm via re-arm, which yields Never.
+			continue
+		}
+		ev.fired[ev.smID[si]]++
+		g.catchUpSM(si, c-1)
+		s.Tick(c)
+		ev.lastProc[si] = c
 		g.issueObs.IssueSlot(s.Config().ID, c, s.IssuedThisCycle())
 	}
+	g.flushSMs()
 
 	// Dispatch, only when a retirement or enqueue armed it this cycle.
 	// Every SM is caught up through c first: LaunchBlock changes the
@@ -1034,16 +969,6 @@ func (g *GPU) evForceWake(c sim.Cycle) {
 // to the tick engine either way.
 func (g *GPU) Run() (sim.Cycle, error) {
 	start := g.cycle
-	// The worker pool lives for the duration of the run; direct Step()
-	// callers outside Run keep the nil pool's serial path, which by the
-	// parallel-stepping contract produces the same results.
-	if g.pool == nil && g.cfg.Workers > 1 {
-		g.pool = sim.NewPool(g.cfg.Workers)
-		defer func() {
-			g.pool.Close()
-			g.pool = nil
-		}()
-	}
 	// Kernels enqueued without Launch have not dispatched yet; placing
 	// them now (with every stream registered, so spatial slices cover
 	// all streams) makes their blocks resident from the first stepped

@@ -12,8 +12,8 @@ import "sync"
 // Recycling cannot affect simulated results: request identity is carried
 // by Request.ID everywhere (the one pointer-identity comparison, the
 // L1 fill's merged-self check, happens strictly before either pointer is
-// released), and phase-parallel ticking (-par) only reorders which
-// pointer a component happens to receive, never any field value.
+// released), and reuse order only decides which pointer a component
+// happens to receive, never any field value.
 //
 // The zero value is ready to use; a nil *RequestPool degrades to plain
 // allocation, so standalone components work unpooled. Methods are

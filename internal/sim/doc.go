@@ -90,35 +90,15 @@
 // which counts full-queue observations rather than events and is
 // excluded from engine-equivalence comparisons.
 //
-// # Parallel phase stepping
+// # Same-cycle memory visibility
 //
-// Pool shards one phase of one cycle — "tick every memory partition",
-// "tick every busy core" — across worker goroutines. Run(n, fn) is a
-// full barrier: every fn(i) happens-before Run returns, so the engine
-// may freely read and merge worker results afterwards. Within a Run
-// call, fn(i) for distinct i execute concurrently in arbitrary order;
-// determinism therefore comes from an ownership discipline, not from
-// scheduling:
-//
-//  1. During a parallel phase, fn(i) may mutate only state owned by
-//     component i. Anything cross-component — functional-memory
-//     stores and atomics, observer callbacks, block-retire
-//     notifications — is appended to per-component effect logs
-//     instead of applied.
-//  2. After the barrier, the engine replays those logs serially in
-//     component-index order (SM.FlushCycle), which reproduces the
-//     exact interleaving the serial loop produced. Atomics commit
-//     their read-modify-write at flush time, so racing SMs observe
-//     the same old values at any worker count.
-//  3. Identifier allocation must be per-component: shared counters
-//     would hand out IDs in scheduling order. Each SM draws request
-//     IDs from its own sequence, tagged with its index.
-//
-// Phases that are inherently serial — crossbar transfer, inject/accept,
-// the dispatcher tail, wake re-arming — stay on the caller. A nil Pool
-// (workers <= 1) runs every phase inline, and because the effect-log
-// path is unconditional, the serial and parallel executions are the
-// same code acting in the same order: `-par 1` and `-par 8` are
-// byte-identical by construction, which the CI par-determinism gate
-// and TestWorkerCountInvariance in internal/gpu pin.
+// A global store or atomic issued by any SM becomes visible to the
+// other SMs on the next cycle, never the one it issued in. Each SM logs
+// its functional stores and atomics during its tick (its own later loads
+// see them through a per-SM overlay) and the engine commits every SM's
+// log in SM index order once all cores have ticked (SM.FlushCycle), so
+// what a load returns does not depend on the index of the SM that
+// issued it. Atomics read-modify-write at that commit, which orders
+// racing SMs' old values by SM index. TestSameCycleStoresInvisibleAcrossSMs
+// in internal/gpu pins the rule.
 package sim

@@ -54,9 +54,9 @@ func (s *SM) getMemInst() *memInst {
 // issueMemInst is called at instruction issue: functional effects happen
 // now (stores write memory, loads read it into registers), addresses are
 // captured, and the instruction enters the LDST queue for timing.
-// Global/local effects are deferred — logged and overlaid rather than
-// applied — so the shared functional store stays read-only until the
-// GPU's end-of-phase FlushCycle commits the logs in SM index order.
+// Global/local stores and atomics are logged and overlaid rather than
+// applied: this SM's later loads see them at once, other SMs on the next
+// cycle, when FlushCycle commits the log after every SM has ticked.
 func (s *SM) issueMemInst(c sim.Cycle, ws int, in *isa.Instruction, passMask uint32) {
 	w := s.warps[ws]
 	bs := &s.blocks[w.BlockSlot]
