@@ -340,9 +340,15 @@ clean:
 		/tmp/gpulat-serve.pid \
 		/tmp/gpulat-shard-cold.csv /tmp/gpulat-shard-kill.csv \
 		/tmp/gpulat-shard-kill.json /tmp/gpulat-shard-backendsz.json \
-		/tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-coord.pid \
+		/tmp/gpulat-shard-join.csv /tmp/gpulat-shard-join.json \
+		/tmp/gpulat-shard-leave.csv /tmp/gpulat-shard-leave.json \
+		/tmp/gpulat-shard-crash.csv \
+		/tmp/gpulat-shard-recovered.csv /tmp/gpulat-shard-recovered.json \
+		/tmp/gpulat-shard-joinchange.json /tmp/gpulat-shard-leavechange.json \
+		/tmp/gpulat-shard-statsz.json $(SHARD_JOURNAL) \
+		/tmp/gpulat-b1.pid /tmp/gpulat-b2.pid /tmp/gpulat-b3.pid /tmp/gpulat-coord.pid \
 		/tmp/gpulat-load-cold.json /tmp/gpulat-load-warm.json \
 		/tmp/gpulat-lb1.pid /tmp/gpulat-lb2.pid /tmp/gpulat-lcoord.pid \
 		/tmp/gpulat-benchsvc-cold.json /tmp/gpulat-benchsvc.pid
 	rm -rf /tmp/gpulat-svc-cache /tmp/gpulat-shard-b1 /tmp/gpulat-shard-b2 \
-		/tmp/gpulat-load-b1 /tmp/gpulat-load-b2 /tmp/gpulat-benchsvc-cache
+		/tmp/gpulat-shard-b3 /tmp/gpulat-load-b1 /tmp/gpulat-load-b2 /tmp/gpulat-benchsvc-cache

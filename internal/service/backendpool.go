@@ -80,10 +80,9 @@ func (b *Backend) routable() bool {
 	return !b.open
 }
 
-// reportFailure records one failed probe or forwarded call and returns
-// true when exactly this failure opened the circuit (the transition the
-// coordinator uses to trigger a proactive reroute sweep).
-func (b *Backend) reportFailure(threshold int, err error, probe bool) bool {
+// reportFailure records one failed probe or forwarded call, opening the
+// circuit once either streak reaches threshold.
+func (b *Backend) reportFailure(threshold int, err error, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
@@ -94,41 +93,29 @@ func (b *Backend) reportFailure(threshold int, err error, probe bool) bool {
 	if err != nil {
 		b.lastErr = err.Error()
 	}
-	if !b.open && (b.consecProbeFails >= threshold || b.consecCallFails >= threshold) {
+	if b.consecProbeFails >= threshold || b.consecCallFails >= threshold {
 		b.open = true
-		return true
 	}
-	return false
 }
 
-// reportSuccess records one successful probe or forwarded call,
-// returning true on the open→closed transition. A successful call is
-// the strongest health signal: it clears both streaks and closes the
-// circuit. A successful probe clears only the probe streak while the
-// circuit is closed — it must not mask an accumulating call-failure
-// streak — but while the circuit is OPEN it closes it and resets both
-// (the recovery path: a restarted backend answers probes before anyone
-// routes calls to it again).
-func (b *Backend) reportSuccess(probe bool) bool {
+// reportSuccess records one successful probe or forwarded call. A
+// successful call is the strongest health signal: it clears both
+// streaks and closes the circuit. A successful probe clears only the
+// probe streak while the circuit is closed — it must not mask an
+// accumulating call-failure streak — but while the circuit is OPEN it
+// closes it and resets both (the recovery path: a restarted backend
+// answers probes before anyone routes calls to it again).
+func (b *Backend) reportSuccess(probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if probe {
+	if probe && !b.open {
 		b.consecProbeFails = 0
-		if !b.open {
-			return false
-		}
-	} else {
-		b.consecCallFails = 0
-		b.consecProbeFails = 0
+		return
 	}
+	b.open = false
+	b.consecCallFails = 0
+	b.consecProbeFails = 0
 	b.lastErr = ""
-	if b.open {
-		b.open = false
-		b.consecCallFails = 0
-		b.consecProbeFails = 0
-		return true
-	}
-	return false
 }
 
 func (b *Backend) noteProbe() {
@@ -205,8 +192,6 @@ func normalizeBackendAddr(addr string) string {
 // until the first Join — the shape of a coordinator started with no
 // static -backends list, waiting for `gpulat serve -join` registrations.
 type BackendPool struct {
-	threshold int
-
 	mu       sync.RWMutex
 	epoch    uint64
 	backends []*Backend
@@ -216,13 +201,9 @@ type BackendPool struct {
 
 // NewBackendPool builds the ring over addrs ("host:port" or base URLs);
 // blanks and duplicates are dropped, and an empty list is a valid empty
-// pool. failThreshold <= 0 selects 3 consecutive failures before a
-// circuit opens. The initial membership is epoch 1.
-func NewBackendPool(addrs []string, failThreshold int) *BackendPool {
-	if failThreshold <= 0 {
-		failThreshold = 3
-	}
-	p := &BackendPool{threshold: failThreshold, byAddr: map[string]*Backend{}, epoch: 1}
+// pool. The initial membership is epoch 1.
+func NewBackendPool(addrs []string) *BackendPool {
+	p := &BackendPool{byAddr: map[string]*Backend{}, epoch: 1}
 	for _, raw := range addrs {
 		addr := normalizeBackendAddr(raw)
 		if addr == "" || p.byAddr[addr] != nil {
@@ -360,20 +341,6 @@ func (p *BackendPool) Route(key runner.JobKey, avoid *Backend) *Backend {
 		return avoid
 	}
 	return nil
-}
-
-// Owner returns the key's pure ring owner at the current epoch,
-// ignoring circuit state — the placement identity membership deltas and
-// cache handoff reason about, as opposed to Route's failure-aware
-// answer.
-func (p *BackendPool) Owner(key runner.JobKey) *Backend {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	addr, ok := p.ring.Owner(key)
-	if !ok {
-		return nil
-	}
-	return p.byAddr[addr]
 }
 
 // ByAddr returns the member with the given (normalized) address.

@@ -21,7 +21,7 @@ func poolKeys(n int) []runner.JobKey {
 // functional, and the first Join makes it routable.
 func TestBackendPoolEmptyIsValid(t *testing.T) {
 	for _, addrs := range [][]string{nil, {" ", ""}} {
-		p := NewBackendPool(addrs, 0)
+		p := NewBackendPool(addrs)
 		if p.Len() != 0 || p.Healthy() != 0 {
 			t.Fatalf("pool over %q not empty: len=%d", addrs, p.Len())
 		}
@@ -32,7 +32,7 @@ func TestBackendPoolEmptyIsValid(t *testing.T) {
 			t.Fatalf("initial epoch = %d, want 1", p.Epoch())
 		}
 	}
-	p := NewBackendPool(nil, 0)
+	p := NewBackendPool(nil)
 	if _, epoch, _, _, joined := p.Join("a:1"); !joined || epoch != 2 {
 		t.Fatalf("first join: joined=%v epoch=%d", joined, epoch)
 	}
@@ -42,7 +42,7 @@ func TestBackendPoolEmptyIsValid(t *testing.T) {
 }
 
 func TestBackendPoolNormalizesAndDedupes(t *testing.T) {
-	p := NewBackendPool([]string{"127.0.0.1:1", "http://127.0.0.1:1/", "127.0.0.1:2"}, 0)
+	p := NewBackendPool([]string{"127.0.0.1:1", "http://127.0.0.1:1/", "127.0.0.1:2"})
 	if len(p.backends) != 2 {
 		t.Fatalf("backends = %d, want 2 (dup collapsed)", len(p.backends))
 	}
@@ -56,8 +56,8 @@ func TestBackendPoolNormalizesAndDedupes(t *testing.T) {
 // key population spreads over all backends.
 func TestBackendPoolRoutingIsDeterministicAndSpread(t *testing.T) {
 	addrs := []string{"10.0.0.1:9", "10.0.0.2:9", "10.0.0.3:9"}
-	p1 := NewBackendPool(addrs, 0)
-	p2 := NewBackendPool(addrs, 0)
+	p1 := NewBackendPool(addrs)
+	p2 := NewBackendPool(addrs)
 	counts := map[string]int{}
 	for _, key := range poolKeys(300) {
 		a := p1.Route(key, nil)
@@ -82,7 +82,7 @@ func TestBackendPoolRoutingIsDeterministicAndSpread(t *testing.T) {
 // property consistent hashing buys: opening one backend's circuit
 // remaps exactly the keys it owned — every other key keeps its backend.
 func TestBackendPoolFailureOnlyRemapsOwnedKeys(t *testing.T) {
-	p := NewBackendPool([]string{"a:1", "b:1", "c:1"}, 1)
+	p := NewBackendPool([]string{"a:1", "b:1", "c:1"})
 	keys := poolKeys(300)
 	before := map[runner.JobKey]string{}
 	for _, key := range keys {
@@ -120,7 +120,7 @@ func TestBackendPoolFailureOnlyRemapsOwnedKeys(t *testing.T) {
 }
 
 func TestBackendPoolRouteAvoidAndExhaustion(t *testing.T) {
-	p := NewBackendPool([]string{"a:1", "b:1"}, 1)
+	p := NewBackendPool([]string{"a:1", "b:1"})
 	key := testJob(0).Key()
 	owner := p.Route(key, nil)
 	other := p.Route(key, owner)
@@ -148,7 +148,7 @@ func TestBackendPoolRouteAvoidAndExhaustion(t *testing.T) {
 // streak. And once the circuit is open, a good probe is the recovery
 // path that closes it.
 func TestBackendCircuitProbeAndCallStreaksAreIndependent(t *testing.T) {
-	p := NewBackendPool([]string{"a:1"}, 3)
+	p := NewBackendPool([]string{"a:1"})
 	b := p.backends[0]
 	for i := 0; i < 2; i++ {
 		b.reportFailure(3, errors.New("jobs wedged"), false)
@@ -157,21 +157,23 @@ func TestBackendCircuitProbeAndCallStreaksAreIndependent(t *testing.T) {
 	if !b.routable() {
 		t.Fatal("circuit opened before the call threshold")
 	}
-	if opened := b.reportFailure(3, errors.New("jobs wedged"), false); !opened {
+	b.reportFailure(3, errors.New("jobs wedged"), false)
+	if b.routable() {
 		t.Fatal("third consecutive call failure did not open the circuit despite healthy probes")
 	}
 	// Recovery: with the circuit open, a good probe closes it and
 	// resets both streaks.
-	if closed := b.reportSuccess(true); !closed {
+	b.reportSuccess(true)
+	if !b.routable() {
 		t.Fatal("good probe did not close the open circuit")
 	}
-	if !b.routable() || p.Statuses()[0].ConsecutiveFailures != 0 {
+	if p.Statuses()[0].ConsecutiveFailures != 0 {
 		t.Fatalf("recovery did not reset streaks: %+v", p.Statuses()[0])
 	}
 }
 
 func TestBackendStatusSnapshot(t *testing.T) {
-	p := NewBackendPool([]string{"a:1"}, 2)
+	p := NewBackendPool([]string{"a:1"})
 	b := p.backends[0]
 	b.reportFailure(2, fmt.Errorf("boom"), false)
 	sts := p.Statuses()

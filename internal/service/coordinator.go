@@ -29,9 +29,6 @@ type CoordinatorConfig struct {
 	FailThreshold int
 	// CallTimeout bounds one forwarded HTTP call (default 15s).
 	CallTimeout time.Duration
-	// MaxReroutes bounds how many times one key is re-placed after
-	// backend failures before it fails outright (default 8).
-	MaxReroutes int
 	// QueueBound caps live (non-terminal) keys the coordinator will
 	// admit — the sharded analogue of StationConfig.QueueBound, so a
 	// coordinator still exerts 503 backpressure instead of growing its
@@ -42,11 +39,11 @@ type CoordinatorConfig struct {
 	// JSONL file and are replayed on start, so an in-flight grid
 	// survives a coordinator crash (see journal.go).
 	JournalPath string
-	// StealThreshold is the minimum queued-key backlog on one backend
-	// before the prober steals work to an idle backend (0 → default 8;
-	// negative disables stealing).
-	StealThreshold int
 }
+
+// maxReroutes bounds how many times one key is re-placed after backend
+// failures before it fails outright.
+const maxReroutes = 8
 
 func (cfg *CoordinatorConfig) fill() {
 	if cfg.ProbeInterval <= 0 {
@@ -58,14 +55,8 @@ func (cfg *CoordinatorConfig) fill() {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 15 * time.Second
 	}
-	if cfg.MaxReroutes <= 0 {
-		cfg.MaxReroutes = 8
-	}
 	if cfg.QueueBound <= 0 {
 		cfg.QueueBound = 4096 * max(len(cfg.Backends), 1)
-	}
-	if cfg.StealThreshold == 0 {
-		cfg.StealThreshold = 8
 	}
 }
 
@@ -121,13 +112,12 @@ type MembershipChange struct {
 // moved keys warm-hand their cached results to the new owner via the
 // backend cache-transfer endpoints instead of recomputing. A health
 // prober plus per-backend circuit state detect failures; live keys on a
-// failed backend re-route to survivors. The prober also steals queued
-// keys from overloaded backends to idle ones to cut tail latency, and
-// with JournalPath set, every accepted job and membership change is
-// write-ahead journaled so an in-flight grid survives coordinator
-// crash, not just backend death. Results are proxied once and memoized,
-// which keeps the client-observable contract byte-identical to a
-// single-process run.
+// failed backend re-route to survivors. A busy but healthy backend keeps
+// its keys, so its cache keeps answering them. With JournalPath set,
+// every accepted job and membership change is write-ahead journaled so
+// an in-flight grid survives coordinator crash, not just backend death.
+// Results are proxied once and memoized, which keeps the
+// client-observable contract byte-identical to a single-process run.
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	pool    *BackendPool
@@ -153,7 +143,6 @@ type Coordinator struct {
 	rerouted    int64
 	handoffKeys int64
 	handoffXfer int64
-	stolen      int64
 	replayed    int64
 
 	journalErrOnce sync.Once
@@ -168,7 +157,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.fill()
 	c := &Coordinator{
 		cfg:    cfg,
-		pool:   NewBackendPool(cfg.Backends, cfg.FailThreshold),
+		pool:   NewBackendPool(cfg.Backends),
 		stop:   make(chan struct{}),
 		states: map[runner.JobKey]*routedJob{},
 	}
@@ -451,8 +440,8 @@ func (c *Coordinator) Join(ctx context.Context, addr string) (MembershipChange, 
 
 	// Split the delta: live keys re-forward to the joiner; finished
 	// keys warm-hand their cached results, pulled from wherever each
-	// was actually computed (which a reroute or steal may have made a
-	// different backend than the old ring owner).
+	// was actually computed (which a reroute may have made a different
+	// backend than the old ring owner).
 	var liveMoved []*routedJob
 	pulls := map[string][]runner.JobKey{}
 	c.mu.Lock()
@@ -550,8 +539,8 @@ func (c *Coordinator) Leave(ctx context.Context, addr string) (MembershipChange,
 		pullsByOwner[to][from] = append(pullsByOwner[to][from], mv.Key)
 	}
 	// Every live key placed on the leaver drains to a survivor — not
-	// just ring-moved ones: steals and reroutes may have parked keys
-	// there that the ring never owned.
+	// just ring-moved ones: reroutes may have parked keys there that the
+	// ring never owned.
 	drain := map[*Backend][]*routedJob{}
 	for _, st := range c.states {
 		if st.done || st.backend != b {
@@ -704,7 +693,7 @@ func (c *Coordinator) replaceGroup(ctx context.Context, group []*routedJob, from
 		if st.done || c.closed || st.backend != from {
 			continue
 		}
-		if st.reroutes >= c.cfg.MaxReroutes {
+		if st.reroutes >= maxReroutes {
 			c.failLocked(st, fmt.Sprintf(
 				"service: job %s still unplaced after %d reroutes: %v", st.key, st.reroutes, ErrNoBackends))
 			continue
@@ -745,13 +734,13 @@ func jitter(d time.Duration) time.Duration {
 // prober drives the failure detector: every ProbeInterval (jittered
 // ±25%) it probes each backend's /v1/healthz (feeding the same circuit
 // state the forwarding path uses), then sweeps for live keys stranded
-// on unroutable backends, re-places them, and steals queued work from
-// overloaded backends to idle ones. Detection-to-reroute latency is
-// therefore bounded by ProbeInterval × FailThreshold even if no client
-// is polling. The first round waits out one (jittered) interval — an
-// immediate round would race the caller's first SubmitMany on the same
-// connections, where a probe's context cancellation can poison a
-// just-pooled keep-alive conn under the forward's POST.
+// on unroutable backends and re-places them. Detection-to-reroute
+// latency is therefore bounded by ProbeInterval × FailThreshold even if
+// no client is polling. The first round waits out one (jittered)
+// interval — an immediate round would race the caller's first
+// SubmitMany on the same connections, where a probe's context
+// cancellation can poison a just-pooled keep-alive conn under the
+// forward's POST.
 func (c *Coordinator) prober() {
 	defer c.wg.Done()
 	probeTimeout := c.cfg.ProbeInterval
@@ -778,7 +767,6 @@ func (c *Coordinator) prober() {
 			}
 		}
 		c.sweepStranded()
-		c.stealWork()
 		c.maybeRotateJournal()
 		timer.Reset(jitter(c.cfg.ProbeInterval))
 	}
@@ -794,7 +782,6 @@ func (c *Coordinator) prober() {
 func (c *Coordinator) sweepStranded() {
 	replace := map[*Backend][]*routedJob{}
 	reforward := map[*Backend][]*routedJob{}
-	place := map[*Backend][]*routedJob{}
 	c.mu.Lock()
 	for _, st := range c.states {
 		switch {
@@ -802,7 +789,7 @@ func (c *Coordinator) sweepStranded() {
 		case st.backend == nil:
 			if b := c.pool.Route(st.key, nil); b != nil {
 				st.backend = b
-				place[b] = append(place[b], st)
+				reforward[b] = append(reforward[b], st)
 			}
 		case !st.backend.routable():
 			replace[st.backend] = append(replace[st.backend], st)
@@ -816,135 +803,6 @@ func (c *Coordinator) sweepStranded() {
 	}
 	for b, group := range reforward {
 		c.forward(context.Background(), b, group)
-	}
-	for b, group := range place {
-		c.forward(context.Background(), b, group)
-	}
-}
-
-// stealBatch bounds one steal round: at most this many keys move (and
-// at most this many per-key status checks go out) per prober tick.
-const stealBatch = 128
-
-// stealWork cuts tail latency on an unbalanced pool: when a routable
-// backend reports itself idle (its own statsz shows nothing queued or
-// running) while another reports a queued backlog of at least
-// StealThreshold jobs, up to half of the donor's still-queued keys move
-// to the idle backends and re-forward there. The queue depths come from
-// the backends' OWN statsz — the coordinator's key statuses go stale
-// when no client is polling — and each forwarded candidate's status is
-// re-checked against the donor before it moves, so finished work is
-// never recomputed on the thief (the check also refreshes the
-// coordinator's view of keys that turn out to be running or done).
-func (c *Coordinator) stealWork() {
-	threshold := c.cfg.StealThreshold
-	if threshold <= 0 {
-		return
-	}
-	var routable []*Backend
-	for _, b := range c.pool.All() {
-		if b.routable() {
-			routable = append(routable, b)
-		}
-	}
-	if len(routable) < 2 {
-		return
-	}
-	viewTimeout := c.cfg.ProbeInterval
-	if viewTimeout > time.Second {
-		viewTimeout = time.Second
-	}
-	depth := make(map[*Backend]int, len(routable))
-	var idle []*Backend
-	var donor *Backend
-	for _, b := range routable {
-		ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-		sz, err := b.client.Statsz(ctx)
-		cancel()
-		if err != nil {
-			continue // no view, no role this round
-		}
-		if sz.Station.Queued == 0 && sz.Station.Running == 0 {
-			idle = append(idle, b)
-			continue
-		}
-		depth[b] = sz.Station.Queued
-		if depth[b] >= threshold && (donor == nil || depth[b] > depth[donor]) {
-			donor = b
-		}
-	}
-	if donor == nil || len(idle) == 0 {
-		return
-	}
-	take := min(depth[donor]/2, stealBatch)
-	if take <= 0 {
-		return
-	}
-	// Candidates: keys placed on the donor that the coordinator last saw
-	// queued. Unforwarded ones (parked by backpressure) are definitely
-	// not running anywhere — steal them without a check.
-	var sure, check []*routedJob
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	for _, st := range c.states {
-		if st.done || st.backend != donor || st.status != StatusQueued {
-			continue
-		}
-		if st.forwarded {
-			check = append(check, st)
-		} else {
-			sure = append(sure, st)
-		}
-	}
-	c.mu.Unlock()
-
-	var stolen []*routedJob
-	for _, st := range sure {
-		if len(stolen) >= take {
-			break
-		}
-		stolen = append(stolen, st)
-	}
-	for _, st := range check {
-		if len(stolen) >= take {
-			break
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-		js, err := donor.client.Status(ctx, st.key)
-		cancel()
-		if err != nil {
-			break // donor gone mid-round; the sweep handles that path
-		}
-		if js.Status == StatusQueued {
-			stolen = append(stolen, st)
-			continue
-		}
-		// Opportunistic refresh: the donor is further along than we knew.
-		c.mu.Lock()
-		if !st.done && st.backend == donor {
-			st.status = js.Status
-		}
-		c.mu.Unlock()
-	}
-
-	moved := map[*Backend][]*routedJob{}
-	c.mu.Lock()
-	for i, st := range stolen {
-		if st.done || st.backend != donor {
-			continue
-		}
-		thief := idle[i%len(idle)]
-		st.backend = thief
-		st.forwarded = false
-		moved[thief] = append(moved[thief], st)
-		c.stolen++
-	}
-	c.mu.Unlock()
-	for thief, group := range moved {
-		c.forward(context.Background(), thief, group)
 	}
 }
 
@@ -1074,7 +932,6 @@ func (c *Coordinator) Stats() StationStats {
 		Rerouted:           c.rerouted,
 		HandoffKeys:        c.handoffKeys,
 		HandoffTransferred: c.handoffXfer,
-		Stolen:             c.stolen,
 		Replayed:           c.replayed,
 	}
 	for _, st := range c.states {

@@ -271,40 +271,60 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStealsFromOverloadedBackend: with one backend wedged
-// behind a deep queue and the other idle, the prober moves queued keys
-// to the idle backend and they complete there.
-func TestCoordinatorStealsFromOverloadedBackend(t *testing.T) {
+// TestBusyBackendKeepsItsKeys: a backend that is wedged but still
+// healthy keeps every key the ring gave it. The idle backend finishes
+// its own share and takes nothing more, so no key leaves the backend
+// whose cache will answer it next time.
+func TestBusyBackendKeepsItsKeys(t *testing.T) {
 	wedge := make(chan struct{})
 	b1, _ := newCachedBackend(t, wedge) // every execution blocks
 	unwedge := releaser(t, wedge)
 	b2, _ := newCachedBackend(t, nil)
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Backends:       []string{b1.ts.URL, b2.ts.URL},
-		ProbeInterval:  20 * time.Millisecond,
-		FailThreshold:  2,
-		StealThreshold: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
+	coord := quickCoordinator(t, []string{b1.ts.URL, b2.ts.URL})
 
 	jobs := make([]runner.Job, 60)
+	var busy, idle []runner.Job
 	for i := range jobs {
 		jobs[i] = testJob(i)
+		if owner, _ := coord.pool.Ring().Owner(jobs[i].Key()); owner == normalizeBackendAddr(b2.ts.URL) {
+			idle = append(idle, jobs[i])
+		} else {
+			busy = append(busy, jobs[i])
+		}
+	}
+	if len(busy) == 0 || len(idle) == 0 {
+		t.Fatalf("degenerate split: %d busy, %d idle keys", len(busy), len(idle))
 	}
 	if _, err := coord.SubmitMany(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	// b2 finishes its share and idles; b1's queue backs up past the
-	// threshold; the prober must start stealing.
+	// b2 finishes its share and idles while b1's queue stays backed up.
 	deadline := time.Now().Add(15 * time.Second)
-	for coord.Stats().Stolen == 0 {
+	for b2.execs.count() < len(idle) {
 		if time.Now().After(deadline) {
-			t.Fatalf("nothing stolen: %+v", coord.Stats())
+			t.Fatalf("idle backend ran %d of its %d keys", b2.execs.count(), len(idle))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	// Every probe round counts one probe per backend before its sweep,
+	// so six more probes on b2 mean at least five whole rounds ran.
+	probes := func() int64 { return coord.Backends()[1].Probes }
+	for start := probes(); probes() < start+6; {
+		if time.Now().After(deadline) {
+			t.Fatalf("prober stalled: %+v", coord.Backends())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if s := coord.Stats(); s.Rerouted != 0 {
+		t.Fatalf("busy backend lost keys to a reroute: %+v", s)
+	}
+	if n := b2.execs.count(); n != len(idle) {
+		t.Fatalf("idle backend executed %d jobs, want only its own %d", n, len(idle))
+	}
+	for _, job := range busy {
+		if _, ok := b2.station.Status(job.Key()); ok {
+			t.Fatalf("busy backend's key %s was moved to the idle backend", job.Key())
+		}
 	}
 	unwedge()
 	waitAllDone(t, coord, jobs)
