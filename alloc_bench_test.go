@@ -20,6 +20,7 @@ import (
 	"gpulat/internal/kernels"
 	"gpulat/internal/mem"
 	"gpulat/internal/sim"
+	"gpulat/internal/sm"
 )
 
 const allocBaselineFile = "BENCH_alloc.json"
@@ -102,13 +103,14 @@ func BenchmarkAllocCache(b *testing.B) {
 // allocSteadyDevice builds a GF100 device running a pointer chase far
 // longer than the measurement window and warms it past every lazy
 // capacity growth (queues, scratch buffers, free lists), so each further
-// Step is pure steady-state simulation.
-func allocSteadyDevice(tb testing.TB) *gpu.GPU {
+// Step is pure steady-state simulation under the given warp scheduler.
+func allocSteadyDevice(tb testing.TB, sched sm.SchedPolicy) *gpu.GPU {
 	cfg, err := Preset("GF100")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cfg.Engine = sim.EngineTick
+	cfg.SM.Scheduler = sched
 	g := gpu.New(cfg)
 	wl, err := kernels.PChase(kernels.PChaseConfig{
 		Base: 0x10000, StrideBytes: 512, FootprintBytes: 2 << 20, Accesses: 1 << 30,
@@ -127,10 +129,16 @@ func allocSteadyDevice(tb testing.TB) *gpu.GPU {
 }
 
 // BenchmarkAllocSMTick measures one full-device cycle — SM cores, both
-// networks, partitions, DRAM, dispatch — in steady state (tentpole
-// budget: 0 allocs/op).
-func BenchmarkAllocSMTick(b *testing.B) {
-	g := allocSteadyDevice(b)
+// networks, partitions, DRAM, dispatch — in steady state under the
+// default LRR scheduler (tentpole budget: 0 allocs/op).
+func BenchmarkAllocSMTick(b *testing.B) { benchAllocStep(b, sm.LRR) }
+
+// BenchmarkAllocSMTickGTO is BenchmarkAllocSMTick under GTO, so the gate
+// covers both schedulers' pick paths (budget: 0 allocs/op).
+func BenchmarkAllocSMTickGTO(b *testing.B) { benchAllocStep(b, sm.GTO) }
+
+func benchAllocStep(b *testing.B, sched sm.SchedPolicy) {
+	g := allocSteadyDevice(b, sched)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -138,7 +146,7 @@ func BenchmarkAllocSMTick(b *testing.B) {
 	}
 }
 
-// measureAllocs runs the three gated paths under testing.AllocsPerRun.
+// measureAllocs runs the gated paths under testing.AllocsPerRun.
 func measureAllocs(tb testing.TB) map[string]float64 {
 	var cs mem.CoalesceScratch
 	acc := allocCoalesceAccesses()
@@ -154,7 +162,8 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		cy++
 	}
 
-	g := allocSteadyDevice(tb)
+	g := allocSteadyDevice(tb, sm.LRR)
+	gGTO := allocSteadyDevice(tb, sm.GTO)
 
 	return map[string]float64{
 		"BenchmarkAllocCoalesce": testing.AllocsPerRun(200, func() {
@@ -169,6 +178,9 @@ func measureAllocs(tb testing.TB) map[string]float64 {
 		}),
 		"BenchmarkAllocSMTick": testing.AllocsPerRun(200, func() {
 			g.Step()
+		}),
+		"BenchmarkAllocSMTickGTO": testing.AllocsPerRun(200, func() {
+			gGTO.Step()
 		}),
 	}
 }
@@ -220,9 +232,10 @@ func TestAllocRegression(t *testing.T) {
 // gate's own measurement, bytes/op from a full benchmark run.
 func writeAllocBaseline(t *testing.T, measured map[string]float64) {
 	bench := map[string]func(*testing.B){
-		"BenchmarkAllocCoalesce": BenchmarkAllocCoalesce,
-		"BenchmarkAllocCache":    BenchmarkAllocCache,
-		"BenchmarkAllocSMTick":   BenchmarkAllocSMTick,
+		"BenchmarkAllocCoalesce":  BenchmarkAllocCoalesce,
+		"BenchmarkAllocCache":     BenchmarkAllocCache,
+		"BenchmarkAllocSMTick":    BenchmarkAllocSMTick,
+		"BenchmarkAllocSMTickGTO": BenchmarkAllocSMTickGTO,
 	}
 	out := make(map[string]allocStat, len(measured))
 	for name, allocs := range measured {

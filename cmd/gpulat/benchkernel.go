@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"gpulat/internal/gpu"
@@ -29,13 +31,42 @@ type kernelBench struct {
 }
 
 // kernelBenchReport is the BENCH_kernel.json payload: per-workload
-// throughput under both engines, plus the headline event-over-tick
-// speedups.
+// throughput under both engines, the headline event-over-tick speedups,
+// and the host the wall times were taken on (omitted from -comparable
+// reports, which must byte-match across hosts).
 type kernelBenchReport struct {
+	Host       *benchHost         `json:"host,omitempty"`
 	Arch       string             `json:"arch"`
 	TimingReps int                `json:"timing_reps"`
 	Benchmarks []kernelBench      `json:"benchmarks"`
 	Speedup    map[string]float64 `json:"speedup_event_over_tick"`
+}
+
+// benchHost identifies the machine behind a report's wall times.
+type benchHost struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu_model"`
+	Go         string `json:"go_version"`
+}
+
+// currentHost describes this process's host; the CPU model comes from
+// /proc/cpuinfo where it exists.
+func currentHost() *benchHost {
+	h := &benchHost{
+		NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU: "unknown", Go: runtime.Version(),
+	}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		defer f.Close()
+		for sc := bufio.NewScanner(f); sc.Scan(); {
+			if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
 }
 
 // benchWorkloads builds the measured workloads: the latency-bound
@@ -228,6 +259,7 @@ func cmdBenchKernel(args []string) error {
 		_, err = os.Stdout.Write(data)
 		return err
 	}
+	report.Host = currentHost()
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)

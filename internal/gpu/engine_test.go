@@ -46,10 +46,54 @@ func setupRing(g *GPU, base uint64, elems int, stride uint64) {
 	}
 }
 
+// fillKernel keeps every warp slot busy with divergent, barrier-
+// synchronized work: each thread loads in[gid], adds 1 for (tid&3)+1
+// loop trips (lanes of one warp diverge), meets its block at a barrier
+// and stores the sum to out[gid]. The grid is two full waves of the
+// device's warp slots, so slots are refilled by relaunches while the
+// previous residents' loads may still be in flight.
+func fillKernel(cfg Config, in, out uint32) *sm.Kernel {
+	const blockDim = 128
+	n := 2 * cfg.NumSMs * cfg.SM.MaxWarps * cfg.SM.WarpSize
+	b := isa.NewBuilder("fill")
+	b.S2R(1, isa.SrTID).
+		S2R(2, isa.SrCTAID).
+		S2R(3, isa.SrNTID).
+		IMad(4, 2, 3, 1). // gid
+		ShlI(5, 4, 2).
+		Param(6, 0).
+		IAdd(6, 6, 5).
+		Ldg(7, 6, 0).
+		AndI(9, 1, 3).
+		MovI(10, 0).
+		Label("loop").
+		IAddI(7, 7, 1).
+		IAddI(10, 10, 1).
+		ISetp(0, isa.CmpLE, 10, 9).
+		P(0).Bra("loop").
+		Bar().
+		Param(8, 1).
+		IAdd(8, 8, 5).
+		Stg(8, 0, 7).
+		Exit()
+	return &sm.Kernel{
+		Program:  b.Build(),
+		Params:   []uint32{in, out},
+		BlockDim: blockDim,
+		GridDim:  n / blockDim,
+	}
+}
+
+// engineWorkloads are the micro-workloads every engine variant runs.
+var engineWorkloads = []string{"vecinc", "chase", "fill"}
+
 // engineVariants are the configurations the cross-engine checks cover:
 // every DRAM scheduler, both warp schedulers, and the cache topologies
 // of all simulated generations (Fermi with L1+L2, Tesla with neither in
-// the global path).
+// the global path). The wide variants fill all 64 warp slots (the top
+// bit of the SM's warp-slot masks) and issue two instructions per
+// cycle, so the per-cycle exclude set is exercised under both
+// schedulers.
 func engineVariants() map[string]Config {
 	base := tinyConfig()
 
@@ -68,8 +112,17 @@ func engineVariants() map[string]Config {
 	gto := tinyConfig()
 	gto.SM.Scheduler = sm.GTO
 
+	wide := tinyConfig()
+	wide.SM.MaxWarps = 64
+	wide.SM.MaxBlocks = 16
+	wide.SM.IssueWidth = 2
+
+	wideGTO := wide
+	wideGTO.SM.Scheduler = sm.GTO
+
 	return map[string]Config{
 		"base": base, "tesla": tesla, "fcfs": fcfs, "cap": capped, "gto": gto,
+		"wide": wide, "wide-gto": wideGTO,
 	}
 }
 
@@ -95,6 +148,11 @@ func runEngineWorkload(t *testing.T, cfg Config, workload string) (*GPU, sim.Cyc
 		const base, elems, stride = 0x10000, 64, 512
 		setupRing(g, base, elems, stride)
 		k = chaseKernel(base, 3*elems)
+	case "fill":
+		k = fillKernel(cfg, 0x100000, 0x200000)
+		for i := 0; i < k.TotalThreads(); i++ {
+			g.Memory.Store32(0x100000+uint64(i)*4, uint32(i))
+		}
 	default:
 		t.Fatalf("unknown workload %q", workload)
 	}
@@ -105,6 +163,14 @@ func runEngineWorkload(t *testing.T, cfg Config, workload string) (*GPU, sim.Cyc
 	if bad := g.WakeAuditViolations(); len(bad) > 0 {
 		t.Fatalf("%s: wake audit violations:\n%s", workload, strings.Join(bad, "\n"))
 	}
+	if workload == "fill" {
+		for i := 0; i < k.TotalThreads(); i++ {
+			want := uint32(i) + uint32(i%k.BlockDim&3) + 1
+			if got := g.Memory.Load32(0x200000 + uint64(i)*4); got != want {
+				t.Fatalf("fill: out[%d] = %d, want %d", i, got, want)
+			}
+		}
+	}
 	return g, cycles
 }
 
@@ -114,25 +180,40 @@ func runEngineWorkload(t *testing.T, cfg Config, workload string) (*GPU, sim.Cyc
 // idle observations are excluded: the device and SM cycle counters and
 // empty-issue-slot counts advance on skipped cycles by design (and are
 // replayed by SkipIdle), and the crossbar's EjectBlocked counts
-// full-queue observations, not events.
-func deviceSignature(g *GPU, at sim.Cycle) string {
+// full-queue observations, not events. A non-nil retry is added to the
+// stall counters it covers, rendering the state one more cycle of parked
+// retries would leave.
+func deviceSignature(g *GPU, at sim.Cycle, retry *parkedRetries) string {
 	var b strings.Builder
 	gs := g.Stats()
 	gs.Cycles, gs.SkippedCycles = 0, 0
 	fmt.Fprintf(&b, "gpu:%+v disp:%s\n", gs, g.disp.DebugState())
-	for _, s := range g.sms {
+	for i, s := range g.sms {
 		ss := s.Stats()
 		ss.Cycles, ss.IssueStallEmpty = 0, 0
 		fmt.Fprintf(&b, "sm%d:%+v %s\n", s.Config().ID, ss, s.DebugState(at))
 		if l1 := s.L1(); l1 != nil {
-			fmt.Fprintf(&b, "  l1:%+v\n", l1.Stats())
+			ls := l1.Stats()
+			if retry != nil {
+				ls.ReservationFails += retry.l1Resv[i]
+			}
+			fmt.Fprintf(&b, "  l1:%+v\n", ls)
 		}
 	}
 	for i, p := range g.parts {
-		fmt.Fprintf(&b, "part%d:%+v %s\n", i, p.Stats(), p.DebugState())
-		fmt.Fprintf(&b, "  dram:%+v %s\n", p.DRAM().Stats(), p.DRAM().DebugState())
+		ps, ds := p.Stats(), p.DRAM().Stats()
+		if retry != nil {
+			ps.L2Stalls += retry.l2Stalls[i]
+			ds.Stalls += retry.dramStalls[i]
+		}
+		fmt.Fprintf(&b, "part%d:%+v %s\n", i, ps, p.DebugState())
+		fmt.Fprintf(&b, "  dram:%+v %s\n", ds, p.DRAM().DebugState())
 		if l2 := p.L2(); l2 != nil {
-			fmt.Fprintf(&b, "  l2:%+v\n", l2.Stats())
+			ls := l2.Stats()
+			if retry != nil {
+				ls.ReservationFails += retry.l2Resv[i]
+			}
+			fmt.Fprintf(&b, "  l2:%+v\n", ls)
 		}
 	}
 	for _, x := range []*icnt.Crossbar{g.reqNet, g.replyNet} {
@@ -141,6 +222,30 @@ func deviceSignature(g *GPU, at sim.Cycle) string {
 		fmt.Fprintf(&b, "%s:%+v %s\n", x.Config().Name, xs, x.DebugState())
 	}
 	return b.String()
+}
+
+// parkedRetries holds the stall counters one cycle of retries by the
+// parked queue heads records: per SM the L1 reservation failures of a
+// parked LDST head, per partition the L2 stalls, L2 reservation
+// failures and DRAM stall marks of a parked L2 queue head. Each is 0 or
+// 1, and non-zero only while its head is parked — exactly what SkipIdle
+// and SkipStalled replay per skipped cycle.
+type parkedRetries struct {
+	l1Resv, l2Stalls, l2Resv, dramStalls []uint64
+}
+
+func parkedRetriesOf(g *GPU) *parkedRetries {
+	r := &parkedRetries{l1Resv: make([]uint64, len(g.sms))}
+	for i, s := range g.sms {
+		r.l1Resv[i] = s.ParkedReservationFails()
+	}
+	for _, p := range g.parts {
+		l2Stalls, l2Resv, dramStalls := p.ParkedStalls()
+		r.l2Stalls = append(r.l2Stalls, l2Stalls)
+		r.l2Resv = append(r.l2Resv, l2Resv)
+		r.dramStalls = append(r.dramStalls, dramStalls)
+	}
+	return r
 }
 
 // statsSignature is the engine-comparable subset of deviceSignature: the
@@ -177,7 +282,7 @@ func statsSignature(g *GPU) string {
 // idle counters SkipIdle reconstructs.
 func TestEventEngineMatchesTick(t *testing.T) {
 	for vname, cfg := range engineVariants() {
-		for _, wl := range []string{"vecinc", "chase"} {
+		for _, wl := range engineWorkloads {
 			t.Run(vname+"/"+wl, func(t *testing.T) {
 				tickCfg := cfg
 				tickCfg.Engine = sim.EngineTick
@@ -189,7 +294,7 @@ func TestEventEngineMatchesTick(t *testing.T) {
 				if ct != ce {
 					t.Fatalf("cycles: tick %d, event %d", ct, ce)
 				}
-				if a, b := deviceSignature(gt, gt.Cycle()), deviceSignature(ge, ge.Cycle()); a != b {
+				if a, b := deviceSignature(gt, gt.Cycle(), nil), deviceSignature(ge, ge.Cycle(), nil); a != b {
 					t.Fatalf("final state diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
 				}
 				if a, b := statsSignature(gt), statsSignature(ge); a != b {
@@ -248,7 +353,7 @@ func TestEventEngineMatchesTickCoRun(t *testing.T) {
 			if ct != ce {
 				t.Fatalf("cycles: tick %d, event %d", ct, ce)
 			}
-			if a, b := deviceSignature(gt, gt.Cycle()), deviceSignature(ge, ge.Cycle()); a != b {
+			if a, b := deviceSignature(gt, gt.Cycle(), nil), deviceSignature(ge, ge.Cycle(), nil); a != b {
 				t.Fatalf("final state diverged:\n--- tick ---\n%s--- event ---\n%s", a, b)
 			}
 			if a, b := statsSignature(gt), statsSignature(ge); a != b {
@@ -263,12 +368,14 @@ func TestEventEngineMatchesTickCoRun(t *testing.T) {
 
 // TestNextEventHorizonNeverLate is the NextEvent-contract property test:
 // under the tick engine, every simulated cycle strictly before the
-// reported horizon must be a provable no-op. A state change inside a
-// reported quiescent span means a component over-reported its horizon —
-// exactly the bug that would let the event engine skip real work.
+// reported horizon must be a provable no-op. The only change allowed
+// inside a reported quiescent span is one cycle of parked heads' retry
+// counters (parkedRetries), which SkipIdle and SkipStalled replay; any
+// other change means a component over-reported its horizon — exactly
+// the bug that would let the event engine skip real work.
 func TestNextEventHorizonNeverLate(t *testing.T) {
 	for vname, cfg := range engineVariants() {
-		for _, wl := range []string{"vecinc", "chase"} {
+		for _, wl := range engineWorkloads {
 			t.Run(vname+"/"+wl, func(t *testing.T) {
 				cfg := cfg
 				cfg.Engine = sim.EngineTick
@@ -284,6 +391,8 @@ func TestNextEventHorizonNeverLate(t *testing.T) {
 				case "chase":
 					setupRing(g, 0x10000, 32, 512)
 					k = chaseKernel(0x10000, 64)
+				case "fill":
+					k = fillKernel(cfg, 0x100000, 0x200000)
 				}
 				if err := g.Launch(k); err != nil {
 					t.Fatal(err)
@@ -298,10 +407,13 @@ func TestNextEventHorizonNeverLate(t *testing.T) {
 					// Canonicalize both captures at the SAME cycle (now):
 					// the step is allowed to drain writebacks already due
 					// at now, and the canonical rendering makes that drain
-					// invisible — any other change is a contract violation.
+					// invisible. It is also allowed the stall counters of
+					// parked heads' retries, rendered into the expected
+					// state up front — any other change is a contract
+					// violation.
 					var sig string
 					if h > now {
-						sig = deviceSignature(g, now)
+						sig = deviceSignature(g, now, parkedRetriesOf(g))
 					}
 					g.Step()
 					if g.Cycle() > 500_000 {
@@ -309,7 +421,7 @@ func TestNextEventHorizonNeverLate(t *testing.T) {
 					}
 					if h > now {
 						quiet++
-						if got := deviceSignature(g, now); got != sig {
+						if got := deviceSignature(g, now, nil); got != sig {
 							t.Fatalf("cycle %d changed state inside reported quiescence until %d:\n--- before ---\n%s--- after ---\n%s",
 								now, h, sig, got)
 						}

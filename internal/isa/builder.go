@@ -237,7 +237,8 @@ func (b *Builder) Atom(d, a Reg, off int32, v Reg) *Builder {
 }
 
 // Build resolves labels, verifies the program ends every path in EXIT,
-// and computes reconvergence points. It panics on assembly errors.
+// and computes reconvergence points and the per-PC hazard table. It
+// panics on assembly errors.
 func (b *Builder) Build() *Program {
 	insts := make([]Instruction, len(b.insts))
 	copy(insts, b.insts)
@@ -258,6 +259,10 @@ func (b *Builder) Build() *Program {
 		panic(err)
 	}
 	p.Reconv = Analyze(p)
+	p.Hazards = make([]Hazard, len(insts))
+	for pc := range insts {
+		p.Hazards[pc] = insts[pc].hazard()
+	}
 	return p
 }
 

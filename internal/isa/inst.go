@@ -75,6 +75,40 @@ func (in *Instruction) SrcRegs(buf []Reg) []Reg {
 	return buf
 }
 
+// Hazard is one instruction's issue-time dependence summary: the
+// scoreboard bits that must be clear before it issues, and whether it
+// needs LDST queue space.
+type Hazard struct {
+	// Regs holds the registers the instruction reads or writes (RZ
+	// excluded): a pending write to any of them blocks issue.
+	Regs uint64
+	// Preds holds its guard predicate and, for ISETP/SELP, PDst (PT
+	// excluded).
+	Preds uint8
+	// Mem marks memory instructions, which take an LDST queue entry.
+	Mem bool
+}
+
+// hazard computes the instruction's dependence summary.
+func (in *Instruction) hazard() Hazard {
+	var h Hazard
+	var buf [4]Reg
+	for _, r := range in.SrcRegs(buf[:0]) {
+		h.Regs |= 1 << r
+	}
+	if in.Op.WritesDst() && in.Dst != RZ {
+		h.Regs |= 1 << in.Dst
+	}
+	if in.Pred != PT {
+		h.Preds |= 1 << in.Pred
+	}
+	if (in.Op == OpISETP || in.Op == OpSELP) && in.PDst != PT {
+		h.Preds |= 1 << in.PDst
+	}
+	h.Mem = in.Op.IsMemory()
+	return h
+}
+
 // String renders an assembly-like form.
 func (in *Instruction) String() string {
 	var b strings.Builder
@@ -136,6 +170,10 @@ type Program struct {
 	// Reconv maps the PC of every potentially divergent branch to its
 	// reconvergence PC (immediate post-dominator), computed by Analyze.
 	Reconv map[int]int
+	// Hazards holds the dependence summary of Insts[pc] for every pc,
+	// computed once by Build so the warp scheduler never re-decodes
+	// operands.
+	Hazards []Hazard
 }
 
 // Len returns the instruction count.

@@ -26,6 +26,39 @@ func TestBuilderResolvesLabels(t *testing.T) {
 	}
 }
 
+// TestBuildHazardTable pins the per-PC hazard table Build computes: the
+// registers read or written (RZ never counts), the guard and ISETP/SELP
+// destination predicates (PT never counts), and LDST occupancy.
+func TestBuildHazardTable(t *testing.T) {
+	p := NewBuilder("t").
+		IMad(4, 1, 2, 3).
+		P(2).ISetp(5, CmpLT, 6, RZ).
+		Selp(7, 8, 9, 1).
+		PNot(3).Stg(10, 0, 11).
+		Atom(RZ, 12, 0, 13).
+		Label("end").
+		Bra("end").
+		Exit().
+		Build()
+	want := []Hazard{
+		{Regs: 1<<1 | 1<<2 | 1<<3 | 1<<4},
+		{Regs: 1 << 6, Preds: 1<<2 | 1<<5},
+		{Regs: 1<<7 | 1<<8 | 1<<9, Preds: 1 << 1},
+		{Regs: 1<<10 | 1<<11, Preds: 1 << 3, Mem: true},
+		{Regs: 1<<12 | 1<<13, Mem: true},
+		{},
+		{},
+	}
+	if len(p.Hazards) != len(p.Insts) {
+		t.Fatalf("%d hazard entries for %d instructions", len(p.Hazards), len(p.Insts))
+	}
+	for pc, h := range want {
+		if p.Hazards[pc] != h {
+			t.Errorf("pc %d (%s): hazard %+v, want %+v", pc, p.Insts[pc].String(), p.Hazards[pc], h)
+		}
+	}
+}
+
 func TestBuilderUndefinedLabelPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

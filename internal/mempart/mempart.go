@@ -501,29 +501,44 @@ func (p *Partition) l2HeadParked() bool {
 	return false
 }
 
-// SkipStalled replays the observable per-cycle stall counters for delta
-// skipped cycles during which the L2 queue head was parked: the
-// cycle-driven loop would have retried the blocked pass every cycle,
-// recording an L2 stall (and, for DRAM-space parks, a DRAM stall mark)
-// each time without moving any other state. The partition-side analog
-// of the SM's SkipIdle.
-func (p *Partition) SkipStalled(delta sim.Cycle) {
-	if delta == 0 || !p.l2HeadParked() {
-		return
+// ParkedStalls returns the stall counters one cycle-driven retry of a
+// parked L2 queue head records — partition L2 stalls, L2 reservation
+// failures and DRAM stall marks, each 0 or 1 — and all zero when the
+// head is not parked. The retry changes no other state, so these are
+// exactly what SkipStalled replays per skipped cycle.
+func (p *Partition) ParkedStalls() (l2Stalls, l2Resv, dramStalls uint64) {
+	if !p.l2HeadParked() {
+		return 0, 0, 0
 	}
 	switch p.l2ParkReason {
 	case parkHitPipe:
-		p.stats.L2Stalls += uint64(delta)
+		return 1, 0, 0
 	case parkResv:
 		// The blocked pass reaches the cache before failing, so the
 		// cache's own counter advances along with the partition's.
-		p.stats.L2Stalls += uint64(delta)
-		p.l2.AddReservationFails(uint64(delta))
+		return 1, 1, 0
 	case parkDRAMSlots, parkDRAMFull:
-		p.stats.L2Stalls += uint64(delta)
-		p.dram.AddStalls(uint64(delta))
+		return 1, 0, 1
 	case parkWB:
-		p.dram.AddStalls(uint64(delta))
+		return 0, 0, 1
+	}
+	return 0, 0, 0
+}
+
+// SkipStalled replays the observable per-cycle stall counters for delta
+// skipped cycles during which the L2 queue head was parked: the
+// cycle-driven loop would have retried the blocked pass every cycle,
+// recording ParkedStalls each time without moving any other state. The
+// partition-side analog of the SM's SkipIdle.
+func (p *Partition) SkipStalled(delta sim.Cycle) {
+	l2Stalls, l2Resv, dramStalls := p.ParkedStalls()
+	d := uint64(delta)
+	p.stats.L2Stalls += l2Stalls * d
+	if l2Resv > 0 {
+		p.l2.AddReservationFails(l2Resv * d)
+	}
+	if dramStalls > 0 {
+		p.dram.AddStalls(dramStalls * d)
 	}
 }
 

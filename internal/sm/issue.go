@@ -10,7 +10,7 @@ import (
 // issue runs the warp scheduler(s): up to IssueWidth instructions from
 // distinct ready warps per cycle.
 func (s *SM) issue(c sim.Cycle) {
-	if s.ActiveBlocks() == 0 {
+	if s.resident == 0 {
 		return
 	}
 	// issuedWarp is a warp-slot bitmask (validate caps MaxWarps at 64),
@@ -32,146 +32,84 @@ func (s *SM) issue(c sim.Cycle) {
 	}
 }
 
-// canIssue reports whether warp slot ws can issue its next instruction.
-func (s *SM) canIssue(c sim.Cycle, ws int) bool {
-	return s.blockedTo[ws] <= c && s.issuableIgnoringDelay(ws)
-}
-
-// issuableIgnoringDelay reports whether warp slot ws could issue its
-// next instruction if its branch-delay window were already clear:
-// residency, scoreboard, and structural conditions only. Between state
-// changes these conditions are time-independent, which is what lets
-// NextEvent turn them into an exact issue horizon (blockedTo is the only
-// time-varying input to canIssue).
-func (s *SM) issuableIgnoringDelay(ws int) bool {
-	w := s.warps[ws]
-	if w == nil || w.Done() || w.AtBarrier {
-		return false
-	}
-	prog := s.blocks[w.BlockSlot].kernel.Program
-	in := prog.At(w.PC())
-
-	// Scoreboard: all sources and the destination must be clear, plus
-	// the guard predicate and any predicate operands.
-	var regMask uint64
-	var buf [4]isa.Reg
-	for _, r := range in.SrcRegs(buf[:0]) {
-		regMask |= 1 << r
-	}
-	if in.Op.WritesDst() && in.Dst != isa.RZ {
-		regMask |= 1 << in.Dst
-	}
-	if s.sbRegs[ws]&regMask != 0 {
-		return false
-	}
-	var predMask uint8
-	if in.Pred != isa.PT {
-		predMask |= 1 << in.Pred
-	}
-	if (in.Op == isa.OpISETP || in.Op == isa.OpSELP) && in.PDst != isa.PT {
-		predMask |= 1 << in.PDst
-	}
-	if s.sbPreds[ws]&predMask != 0 {
-		return false
-	}
-
-	// Structural: memory instructions need LDST queue space.
-	if in.Op.IsMemory() && !s.ldstQ.CanPush() {
-		return false
-	}
-	return true
-}
-
-// issueReadyAt returns the earliest cycle at which warp slot ws could
-// pass issuableIgnoringDelay, given the SM's pending timed releases.
-// For every scoreboard bit the next instruction needs, regClearAt /
-// predClearAt hold the exact cycle its in-flight writeback lands, so the
-// answer is simply the max of those (zero when nothing is pending). The
-// caller floors it at now and at the warp's branch-delay window.
+// refreshReady recomputes warp slot ws's cached issue stamp, readyAt:
+// the earliest cycle at which its next instruction passes the
+// scoreboard, ignoring the branch-delay window and LDST queue space. It
+// is the max of regClearAt/predClearAt over the pending bits the
+// instruction's hazard entry names (zero when none is pending), and
+// Never when one of them waits on a load, when the warp waits at a
+// barrier, or when the slot is empty. It also records in memNext
+// whether that instruction needs LDST queue space. Only resident slots'
+// entries are read.
 //
-// ok=false means the time is not knowable from timed state alone and
-// the warp contributes no horizon term; its wake rides another: a load
-// dependence (Never clearAt) rides the response/retire terms, and a
-// full LDST queue frees only inside a Tick the queue's own term (or the
-// miss-drain re-tick) already schedules. A slot relaunched while a
-// previous resident's writebacks are still in flight (sbHazard) is the
-// one case where pending clears are not described by regClearAt — the
-// foreign masks may strike the new warp's bits early — so the term
-// falls back to the next pipe drain, the earliest any release can land.
-func (s *SM) issueReadyAt(ws int) (sim.Cycle, bool) {
-	if s.sbHazard[ws] {
-		if s.exec.Len() == 0 {
-			// Unreachable (the hazard clears when the pipe drains), but
-			// never report a horizon term of Never as ok.
-			return 0, false
-		}
-		return s.exec.NextReady(), true
-	}
+// The stamp is a pure function of the warp's PC, barrier flag and
+// scoreboard. Every change to them calls refreshReady: issue, launch,
+// barrier release, and every scoreboard clear (exec drain and memory
+// completion). A clear can come early — a previous resident's
+// writeback striking a relaunched slot (sbHazard) — but it refreshes
+// the stamp when it lands; and no bit stays set past its recorded
+// time, since each Tick drains every writeback due before it picks. So
+// at every pick, a stamp <= now means exactly that the needed bits are
+// clear.
+func (s *SM) refreshReady(ws int) {
+	bit := uint64(1) << ws
 	w := s.warps[ws]
-	prog := s.blocks[w.BlockSlot].kernel.Program
-	in := prog.At(w.PC())
-
-	var regMask uint64
-	var buf [4]isa.Reg
-	for _, r := range in.SrcRegs(buf[:0]) {
-		regMask |= 1 << r
+	if w == nil || w.AtBarrier {
+		s.readyAt[ws] = sim.Never
+		s.memNext &^= bit
+		return
 	}
-	if in.Op.WritesDst() && in.Dst != isa.RZ {
-		regMask |= 1 << in.Dst
-	}
+	h := &s.blocks[w.BlockSlot].kernel.Program.Hazards[w.PC()]
 	var at sim.Cycle
-	for m := s.sbRegs[ws] & regMask; m != 0; m &= m - 1 {
-		rel := s.regClearAt[ws*64+bits.TrailingZeros64(m)]
-		if rel == sim.Never {
-			return 0, false
-		}
-		if rel > at {
-			at = rel
-		}
+	for m := s.sbRegs[ws] & h.Regs; m != 0; m &= m - 1 {
+		at = max(at, s.regClearAt[ws*64+bits.TrailingZeros64(m)])
 	}
-	var predMask uint8
-	if in.Pred != isa.PT {
-		predMask |= 1 << in.Pred
+	for m := s.sbPreds[ws] & h.Preds; m != 0; m &= m - 1 {
+		at = max(at, s.predClearAt[ws*8+bits.TrailingZeros8(m)])
 	}
-	if (in.Op == isa.OpISETP || in.Op == isa.OpSELP) && in.PDst != isa.PT {
-		predMask |= 1 << in.PDst
+	s.readyAt[ws] = at
+	if h.Mem {
+		s.memNext |= bit
+	} else {
+		s.memNext &^= bit
 	}
-	for m := s.sbPreds[ws] & predMask; m != 0; m &= m - 1 {
-		if rel := s.predClearAt[ws*8+bits.TrailingZeros8(m)]; rel > at {
-			at = rel
-		}
-	}
+}
 
-	// Structural: LDST queue occupancy only changes inside Tick, so a
-	// full queue has no timed release visible here.
-	if in.Op.IsMemory() && !s.ldstQ.CanPush() {
-		return 0, false
-	}
-	return at, true
+// issuable reports whether resident warp slot ws can issue at c, given
+// that LDST queue space has already been checked.
+func (s *SM) issuable(c sim.Cycle, ws int) bool {
+	return max(s.blockedTo[ws], s.readyAt[ws]) <= c
 }
 
 // pickWarp selects the next warp per the configured policy; exclude is
-// a bitmask of warp slots already issued this cycle.
+// a bitmask of warp slots already issued this cycle. Candidates are the
+// resident slots outside exclude, less those whose next instruction
+// needs a full LDST queue.
 func (s *SM) pickWarp(c sim.Cycle, exclude uint64) int {
-	n := s.cfg.MaxWarps
+	cand := s.resident &^ exclude
+	if !s.ldstQ.CanPush() {
+		cand &^= s.memNext
+	}
 	switch s.cfg.Scheduler {
 	case LRR:
-		for k := 1; k <= n; k++ {
-			ws := (s.lastSched + k) % n
-			if exclude&(1<<ws) == 0 && s.canIssue(c, ws) {
-				return ws
+		// Slots lastSched+1..63 ascending, then 0..lastSched: the order
+		// of (lastSched+k) % MaxWarps for k = 1..MaxWarps.
+		hi := cand & (^uint64(0) << (s.lastSched + 1))
+		for _, m := range [2]uint64{hi, cand &^ hi} {
+			for ; m != 0; m &= m - 1 {
+				if ws := bits.TrailingZeros64(m); s.issuable(c, ws) {
+					return ws
+				}
 			}
 		}
 	case GTO:
-		if g := s.greedyWarp; g >= 0 && g < n && exclude&(1<<g) == 0 && s.canIssue(c, g) {
+		if g := s.greedyWarp; cand&(1<<g) != 0 && s.issuable(c, g) {
 			return g
 		}
 		best, bestSeq := -1, ^uint64(0)
-		for ws := 0; ws < n; ws++ {
-			if exclude&(1<<ws) != 0 || s.warps[ws] == nil || !s.canIssue(c, ws) {
-				continue
-			}
-			if s.warpSeq[ws] < bestSeq {
+		for m := cand; m != 0; m &= m - 1 {
+			ws := bits.TrailingZeros64(m)
+			if s.warpSeq[ws] < bestSeq && s.issuable(c, ws) {
 				best, bestSeq = ws, s.warpSeq[ws]
 			}
 		}
@@ -181,7 +119,7 @@ func (s *SM) pickWarp(c sim.Cycle, exclude uint64) int {
 }
 
 // issueFrom issues one instruction from warp slot ws. The caller has
-// verified readiness via canIssue.
+// verified readiness via pickWarp.
 func (s *SM) issueFrom(c sim.Cycle, ws int) {
 	w := s.warps[ws]
 	bs := &s.blocks[w.BlockSlot]
@@ -264,6 +202,7 @@ func (s *SM) issueFrom(c sim.Cycle, ws int) {
 		}
 		w.Advance(pc + 1)
 	}
+	s.refreshReady(ws)
 }
 
 // releaseBarrierIfComplete opens the barrier when every live warp of the
@@ -276,29 +215,8 @@ func (s *SM) releaseBarrierIfComplete(blockSlot int) {
 	for _, ws := range bs.warps {
 		if w := s.warps[ws]; w != nil && w.AtBarrier {
 			w.AtBarrier = false
+			s.refreshReady(ws)
 		}
 	}
 	bs.barrierArrived = 0
-}
-
-// readyWarpExists reports whether any warp could issue this cycle
-// (diagnostics for exposure analysis).
-func (s *SM) readyWarpExists(c sim.Cycle) bool {
-	for ws := range s.warps {
-		if s.canIssue(c, ws) {
-			return true
-		}
-	}
-	return false
-}
-
-// activeWarpCount returns resident, unfinished warps (diagnostics).
-func (s *SM) activeWarpCount() int {
-	n := 0
-	for _, w := range s.warps {
-		if w != nil && !w.Done() {
-			n++
-		}
-	}
-	return n
 }

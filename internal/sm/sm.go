@@ -7,14 +7,28 @@
 // "SM Base" latency component; the time a miss waits in the miss queue
 // before network injection is "L1toICNT".
 //
+// Warp issue costs O(resident warps), not O(warp slots × decode). The
+// SM keeps the resident warps as a uint64 slot mask, and each program
+// carries a per-PC hazard table (isa.Program.Hazards: the registers and
+// predicates an instruction needs, and whether it takes an LDST queue
+// entry), computed once when the program is built. Each resident warp
+// caches a ready stamp: the earliest cycle its next instruction clears
+// the scoreboard, from the per-register release times of in-flight
+// arithmetic writebacks (regClearAt/predClearAt), or Never while it
+// waits on a load or a barrier. The stamp is recomputed only when that
+// warp's state changes (refreshReady). A pick walks the resident mask —
+// LRR as two ascending TrailingZeros passes split at the last issued
+// slot, GTO as the greedy warp then the oldest — and tests
+// max(branch-delay window, stamp) <= now, plus LDST queue space for
+// memory instructions.
+//
 // Under the event engine the SM wakes the device (NextEvent /
 // NextSelfEvent) when: a buffered response awaits processing (pins now);
 // a retire event or the LDST queue head comes due; a warp's next
-// instruction becomes issuable — computed exactly from its branch-delay
-// window and the per-register release times of in-flight arithmetic
-// writebacks (regClearAt/predClearAt), so pure pipe-drain cycles are
-// never stepped; or, with nothing else pending, when the execution pipe
-// must drain so the core can report itself idle. A queued miss pins
+// instruction becomes issuable — the minimum over resident warps of
+// their branch-delay windows and ready stamps, so pure pipe-drain cycles
+// are never stepped; or, with nothing else pending, when the execution
+// pipe must drain so the core can report itself idle. A queued miss pins
 // NextEvent (the engine's injection phase must run) without forcing a
 // core tick. Warps blocked on loads carry no term: their wake rides the
 // response/retire horizons.
@@ -22,6 +36,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"gpulat/internal/cache"
@@ -104,9 +119,10 @@ func (c Config) validate() error {
 	case c.MaxWarps <= 0 || c.MaxBlocks <= 0:
 		return fmt.Errorf("sm %d: warp/block capacity must be positive", c.ID)
 	case c.MaxWarps > 64:
-		// Warp-slot sets are uint64 bitmasks (issue's per-cycle exclude
-		// set); every real GPU generation modeled resides well under 64
-		// warps per SM.
+		// Warp-slot sets are uint64 bitmasks: the resident set, the
+		// memory-next set, the sbHazard set and issue's per-cycle
+		// exclude set. Every real GPU generation modeled resides at most
+		// 64 warps per SM.
 		return fmt.Errorf("sm %d: at most 64 warp slots supported, got %d", c.ID, c.MaxWarps)
 	case c.IssueWidth <= 0:
 		return fmt.Errorf("sm %d: issue width must be positive", c.ID)
@@ -177,6 +193,7 @@ type SM struct {
 	memory *mem.Memory
 
 	warps     []*warp.Warp // indexed by warp slot; nil when free
+	resident  uint64       // bit ws set iff warps[ws] != nil
 	warpSeq   []uint64     // launch sequence for GTO oldest ordering
 	sbRegs    []uint64     // scoreboard: pending dst registers per warp slot
 	sbPreds   []uint8      // scoreboard: pending predicate dsts
@@ -192,6 +209,12 @@ type SM struct {
 	// cleared bit is never read. Indexed [slot*64+reg] / [slot*8+pred].
 	regClearAt  []sim.Cycle
 	predClearAt []sim.Cycle
+	// readyAt caches each slot's scoreboard issue stamp and memNext marks
+	// slots whose next instruction needs LDST queue space; both are kept
+	// current by refreshReady, so neither pickWarp nor NextSelfEvent
+	// decodes an instruction.
+	readyAt []sim.Cycle
+	memNext uint64
 	// wbInFlight counts in-flight exec-pipe writebacks per warp slot;
 	// sbHazard marks slots relaunched while a previous resident's
 	// writebacks were still in flight — their foreign masks will clear
@@ -199,7 +222,7 @@ type SM struct {
 	// NextSelfEvent falls back to waking at every exec drain until the
 	// slot's in-flight count returns to zero.
 	wbInFlight []int
-	sbHazard   []bool
+	sbHazard   uint64
 
 	ldstQ  *sim.Queue[*memInst]
 	missQ  *sim.Queue[*mem.Request]
@@ -332,9 +355,7 @@ type Stats struct {
 	InstIssued      uint64
 	LoadsIssued     uint64
 	StoresIssued    uint64
-	IssueStallSB    uint64 // scoreboard hazard
-	IssueStallLDST  uint64 // LDST queue full
-	IssueStallEmpty uint64 // no ready warp at all
+	IssueStallEmpty uint64 // issue slots left empty: no ready warp
 	L1Hits          uint64
 	L1Misses        uint64
 	L1MergedMisses  uint64
@@ -363,8 +384,8 @@ func New(cfg Config, memory *mem.Memory, newReqID func() uint64, observer mem.Ob
 		blockedTo:   make([]sim.Cycle, cfg.MaxWarps),
 		regClearAt:  make([]sim.Cycle, cfg.MaxWarps*64),
 		predClearAt: make([]sim.Cycle, cfg.MaxWarps*8),
+		readyAt:     make([]sim.Cycle, cfg.MaxWarps),
 		wbInFlight:  make([]int, cfg.MaxWarps),
-		sbHazard:    make([]bool, cfg.MaxWarps),
 		blocks:      make([]blockSlot, cfg.MaxBlocks),
 		ldstQ:       sim.NewQueue[*memInst](name+".ldst", cfg.LDSTQueueDepth, cfg.LDSTIssueLatency),
 		missQ:       sim.NewQueue[*mem.Request](name+".miss", cfg.MissQueueDepth, 0),
@@ -407,33 +428,28 @@ func (s *SM) FreeBlockSlot() int {
 	return -1
 }
 
-// freeWarpSlots returns up to n free warp slot indices.
-func (s *SM) freeWarpSlots(n int) []int {
-	var out []int
-	for i := range s.warps {
-		if s.warps[i] == nil {
-			out = append(out, i)
-			if len(out) == n {
-				return out
-			}
-		}
-	}
-	return nil
+// freeSlots is the set of empty warp slots.
+func (s *SM) freeSlots() uint64 {
+	return ^s.resident & (^uint64(0) >> (64 - s.cfg.MaxWarps))
 }
 
-// hasFreeWarpSlots reports whether n warp slots are free, without
-// building the slot list (CanLaunch runs every dispatch pass, so it must
-// not allocate).
-func (s *SM) hasFreeWarpSlots(n int) bool {
-	free := 0
-	for i := range s.warps {
-		if s.warps[i] == nil {
-			if free++; free == n {
-				return true
-			}
-		}
+// freeWarpSlots returns the n lowest free warp slot indices, or nil if
+// fewer than n are free.
+func (s *SM) freeWarpSlots(n int) []int {
+	if !s.hasFreeWarpSlots(n) {
+		return nil
 	}
-	return false
+	out := make([]int, 0, n)
+	for free := s.freeSlots(); len(out) < n; free &= free - 1 {
+		out = append(out, bits.TrailingZeros64(free))
+	}
+	return out
+}
+
+// hasFreeWarpSlots reports whether n warp slots are free. CanLaunch
+// runs it every dispatch pass, so it must not allocate.
+func (s *SM) hasFreeWarpSlots(n int) bool {
+	return bits.OnesCount64(s.freeSlots()) >= n
 }
 
 // CanLaunch reports whether a block of kernel k fits right now.
@@ -488,34 +504,24 @@ func (s *SM) LaunchBlock(k *Kernel, ctaid int, kernelID int) {
 			t.Params = k.Params
 		}
 		s.warps[ws] = w
+		s.resident |= 1 << ws
 		s.warpSeq[ws] = s.launchSeq*1024 + uint64(wi)
 		s.sbRegs[ws] = 0
 		s.sbPreds[ws] = 0
 		s.blockedTo[ws] = 0
-		s.sbHazard[ws] = s.wbInFlight[ws] > 0
-	}
-}
-
-// ActiveBlocks returns the number of resident blocks.
-func (s *SM) ActiveBlocks() int {
-	n := 0
-	for i := range s.blocks {
-		if s.blocks[i].active {
-			n++
+		if s.wbInFlight[ws] > 0 {
+			s.sbHazard |= 1 << ws
 		}
+		s.refreshReady(ws)
 	}
-	return n
 }
 
 // Busy reports whether any warp is resident or any memory transaction is
-// outstanding.
+// outstanding. (A block slot is active exactly while one of its warps is
+// resident.)
 func (s *SM) Busy() bool {
-	return s.ActiveBlocks() > 0 || s.Pending() > 0
+	return s.resident != 0 || s.Pending() > 0
 }
-
-// HasResidentWarps reports whether any warp is resident (exposure
-// accounting denominator).
-func (s *SM) HasResidentWarps() bool { return s.ActiveBlocks() > 0 }
 
 // Pending returns the number of memory transactions and timed events
 // buffered anywhere in the SM (the Busy drain check builds on it).
@@ -554,7 +560,7 @@ func (s *SM) NextEvent(now sim.Cycle) sim.Cycle {
 // Execution-pipe writebacks carry no term of their own: draining one
 // only clears private scoreboard bits, which is invisible until some
 // warp's issue depends on it — and the per-warp terms below already
-// account for every pending clear at its exact time (issueReadyAt).
+// account for every pending clear at its exact time (the ready stamps).
 // A canonical-state observer (DebugState) applies due-but-undrained
 // writebacks virtually, so deferring the drain to the next real wake
 // is unobservable. The one exception is liveness: with no other term
@@ -569,10 +575,10 @@ func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 	}
 	// Every term below is floored at now, so the horizon cannot improve
 	// once it reaches now — return immediately and skip the remaining
-	// scans. The per-warp loop additionally skips the (expensive) decode
-	// and scoreboard check for any warp whose delay window alone already
-	// rules out improving the horizon. This is the event engine's re-arm
-	// hot path: it runs after every core tick.
+	// terms. The per-warp terms visit only resident slots and read their
+	// cached stamps (refreshReady), so no instruction is decoded here.
+	// This is the event engine's re-arm hot path: it runs after every
+	// core tick.
 	h := sim.Never
 	if s.retire.Len() > 0 {
 		if h = min(h, max(now, s.retire.NextReady())); h == now {
@@ -584,16 +590,32 @@ func (s *SM) NextSelfEvent(now sim.Cycle) sim.Cycle {
 			return now
 		}
 	}
-	for ws, w := range s.warps {
-		if w == nil || w.Done() || w.AtBarrier {
-			continue
-		}
+	// A warp waiting on a load (stamp Never) or on LDST queue space has
+	// no timed release visible here; its wake rides the response/retire
+	// terms, or the Tick that frees queue space, which the queue's own
+	// term (or the miss-drain re-tick) already schedules. An sbHazard
+	// slot's pending clears are not described by regClearAt — a previous
+	// resident's writebacks may strike its bits early — so its term falls
+	// back to the next pipe drain, the earliest any release can land.
+	stalled := uint64(0)
+	if !s.ldstQ.CanPush() {
+		stalled = s.memNext
+	}
+	for m := s.resident; m != 0; m &= m - 1 {
+		ws := bits.TrailingZeros64(m)
 		t := max(now, s.blockedTo[ws])
 		if t >= h {
 			continue
 		}
-		at, ok := s.issueReadyAt(ws)
-		if !ok {
+		at := s.readyAt[ws]
+		if s.sbHazard&(1<<ws) != 0 {
+			if s.warps[ws].AtBarrier || s.exec.Len() == 0 {
+				// (The hazard clears when the pipe drains; never report a
+				// horizon term of Never.)
+				continue
+			}
+			at = s.exec.NextReady()
+		} else if at == sim.Never || stalled&(1<<ws) != 0 {
 			continue
 		}
 		if at > t {
@@ -692,26 +714,34 @@ func (s *SM) DebugState(c sim.Cycle) string {
 // fast-forwarded while this SM was busy (work in flight) but provably
 // unable to issue or retire anything. The cycle-driven loop would have
 // ticked those cycles and recorded only idle observations — a cycle
-// count and, when warps are resident, empty issue slots; replaying those
-// counters keeps both engines' statistics identical.
+// count, empty issue slots when warps are resident, and a parked LDST
+// head's ParkedReservationFails; replaying those counters keeps both
+// engines' statistics identical.
 func (s *SM) SkipIdle(delta sim.Cycle) {
 	if delta == 0 || !s.Busy() {
 		return
 	}
 	s.stats.Cycles += uint64(delta)
-	if s.ActiveBlocks() > 0 {
+	if s.resident != 0 {
 		s.stats.IssueStallEmpty += uint64(delta) * uint64(s.cfg.IssueWidth)
 	}
-	// An LDST head parked on an L1 reservation failure would have retried
-	// the access — and provably failed, the cache's reservation state
-	// being frozen while the SM sleeps — on every skipped cycle, counting
-	// one ReservationFail each time. (The miss-queue park's retries touch
-	// only queue-level stall marks, which are diagnostic-only.)
-	if s.ldstBlockReason == blockL1 && s.ldstBlockedOn != nil {
-		if head, ok := s.ldstQ.Head(); ok && head == s.ldstBlockedOn {
-			s.l1.AddReservationFails(uint64(delta))
-		}
+	if n := s.ParkedReservationFails(); n > 0 {
+		s.l1.AddReservationFails(n * uint64(delta))
 	}
+}
+
+// ParkedReservationFails returns the L1 reservation failures one
+// cycle-driven retry of a parked LDST head records: 1 while the head is
+// parked on an L1 reservation failure, else 0. The retry provably fails
+// again — the cache's reservation state is frozen while the SM sleeps —
+// and changes nothing else, so this is exactly what SkipIdle replays per
+// skipped cycle. (The miss-queue park's retries touch only queue-level
+// stall marks, which are diagnostic-only.)
+func (s *SM) ParkedReservationFails() uint64 {
+	if s.ldstBlockReason == blockL1 && s.ldstHeadParked() {
+		return 1
+	}
+	return 0
 }
 
 // IssuedThisCycle returns the instructions issued in the current cycle
@@ -804,12 +834,14 @@ func (s *SM) FlushCycle() {
 
 func (s *SM) drainExec(c sim.Cycle) {
 	for _, wb := range s.exec.Ready(c) {
-		s.sbRegs[wb.warpSlot] &^= wb.regMask
-		s.sbPreds[wb.warpSlot] &^= wb.predMask
-		s.wbInFlight[wb.warpSlot]--
-		if s.wbInFlight[wb.warpSlot] == 0 {
-			s.sbHazard[wb.warpSlot] = false
+		ws := wb.warpSlot
+		s.sbRegs[ws] &^= wb.regMask
+		s.sbPreds[ws] &^= wb.predMask
+		s.wbInFlight[ws]--
+		if s.wbInFlight[ws] == 0 {
+			s.sbHazard &^= 1 << ws
 		}
+		s.refreshReady(ws)
 	}
 }
 
@@ -845,6 +877,7 @@ func (s *SM) completeTransaction(c sim.Cycle, comp completion) {
 func (s *SM) finishMemInst(mi *memInst) {
 	if mi.op.WritesDst() && mi.dst != isa.RZ {
 		s.sbRegs[mi.warpSlot] &^= 1 << mi.dst
+		s.refreshReady(mi.warpSlot)
 	}
 	s.miFree = append(s.miFree, mi)
 }
@@ -858,6 +891,7 @@ func (s *SM) retireWarpIfDone(c sim.Cycle, ws int) {
 	bs := &s.blocks[w.BlockSlot]
 	bs.liveWarps--
 	s.warps[ws] = nil
+	s.resident &^= 1 << ws
 	s.releaseBarrierIfComplete(w.BlockSlot)
 	if bs.liveWarps == 0 {
 		bs.active = false
